@@ -163,32 +163,19 @@ def load_config(path: str | Path | None) -> Config:
     if parser.has_section("scheduler"):
         duty = dict(scheduler.duty_map)
         burst = dict(scheduler.burst_duration_s)
-        plain: dict[str, str] = {}
+        plain: dict[str, float] = {}
         for key, raw in parser.items("scheduler"):
             if key in _DUTY_KEYS:
                 duty[_DUTY_KEYS[key]] = _to_float("scheduler", key, raw)
             elif key in _BURST_KEYS:
                 burst[_BURST_KEYS[key]] = _to_float("scheduler", key, raw)
             elif key in ("min_interval_s", "max_burst_s", "repeat_check_horizon_s"):
-                plain[key] = raw
+                plain[key] = _to_float("scheduler", key, raw)
             else:
                 raise ConfigError(f"[scheduler] unknown key {key!r}")
         try:
-            scheduler = SchedulerConfig(
-                min_interval_s=_to_float("scheduler", "min_interval_s",
-                                         plain["min_interval_s"])
-                if "min_interval_s" in plain else scheduler.min_interval_s,
-                max_burst_s=_to_float("scheduler", "max_burst_s",
-                                      plain["max_burst_s"])
-                if "max_burst_s" in plain else scheduler.max_burst_s,
-                repeat_check_horizon_s=_to_float(
-                    "scheduler", "repeat_check_horizon_s",
-                    plain["repeat_check_horizon_s"])
-                if "repeat_check_horizon_s" in plain
-                else scheduler.repeat_check_horizon_s,
-                duty_map=duty,
-                burst_duration_s=burst,
-            )
+            scheduler = replace(scheduler, duty_map=duty,
+                                burst_duration_s=burst, **plain)
         except ValueError as exc:
             raise ConfigError(f"[scheduler] {exc}") from None
 

@@ -8,14 +8,15 @@ queued; the only queued follow-ups are rhythm-driven repeats.
 
 Repeat mechanics: a scheduled release whose rhythm repeats arms one
 pending repeat due at the release end plus the minimum interval. `tick`
-surfaces the repeat once due; the control loop then decides whether it
-fires (a repeated-low-frequency repeat fires at any non-neutral instant,
-a repeat-if-needed one only while its causing state still holds) and
-re-arms via `expand_rhythm` only while the cause persists, so repeat
-chains terminate once the state clears.
+advances the clock and returns the repeat once it is due; the control
+loop then decides whether it fires (a repeated-low-frequency repeat
+fires at any non-neutral instant, a repeat-if-needed one only while its
+causing state still holds) and re-arms via `expand_rhythm` only while
+the cause persists, so repeat chains terminate once the state clears.
 
-SchedulerState is single-writer, owned by the control loop; decisions
-and commands are immutable values.
+SchedulerState is single-writer, owned by the control loop: `request`,
+`expand_rhythm` and `tick` update it in place and return only their
+result. Decisions and commands are immutable values.
 """
 
 from __future__ import annotations
@@ -102,12 +103,6 @@ class ReleaseCommand:
 
 
 @dataclass(frozen=True, slots=True)
-class ActiveRelease:
-    channel: int
-    end: int
-
-
-@dataclass(frozen=True, slots=True)
 class PendingRepeat:
     expr: ScentExpression
     cause: InteractionState
@@ -118,7 +113,6 @@ class PendingRepeat:
 @dataclass(slots=True)
 class SchedulerState:
     last_release_end: int | None = None
-    active: ActiveRelease | None = None
     pending_repeat: PendingRepeat | None = None
     clock: int = 0
 
@@ -135,24 +129,18 @@ class Decision:
         return self.command is not None
 
 
-@dataclass(frozen=True, slots=True)
-class ReleaseEnded:
-    channel: int
-    end: int
-
-
-@dataclass(frozen=True, slots=True)
-class RepeatDue:
-    repeat: PendingRepeat
-
-
 def suppression_reason(now: int, st: SchedulerState,
                        cfg: SchedulerConfig) -> str | None:
-    """Why a request at ``now`` would be suppressed, or None if admissible."""
-    if st.active is not None and now < st.active.end:
+    """Why a request at ``now`` would be suppressed, or None if admissible.
+
+    Releases never overlap, so the latest one is the only one that can
+    still be active at or after the scheduler clock.
+    """
+    if st.last_release_end is None:
+        return None
+    if now < st.last_release_end:
         return SUPPRESSED_CHANNEL_ACTIVE
-    if (st.last_release_end is not None
-            and now - st.last_release_end < cfg.min_interval_ms):
+    if now - st.last_release_end < cfg.min_interval_ms:
         return SUPPRESSED_COOLDOWN
     return None
 
@@ -165,18 +153,17 @@ def request(
     cfg: SchedulerConfig,
     *,
     cause: InteractionState,
-) -> tuple[Decision, SchedulerState]:
+) -> Decision:
     """Request a release at ``now``; schedule it if the constraints allow.
 
     On success the command's duty comes from the intensity map and its
-    duration from the rhythm map, and the state's active release and
-    last release end are updated. The interval boundary is inclusive: a
-    request exactly min_interval after the previous release end is
-    scheduled.
+    duration from the rhythm map, and the state's last release end is
+    updated. The interval boundary is inclusive: a request exactly
+    min_interval after the previous release end is scheduled.
     """
     reason = suppression_reason(now, st, cfg)
     if reason is not None:
-        return Decision(None, reason), st
+        return Decision(None, reason)
     duration_s = cfg.burst_duration_s[expr.rhythm]
     command = ReleaseCommand(
         start=now,
@@ -186,9 +173,8 @@ def request(
         cause=cause,
         scent=scent.key,
     )
-    st.active = ActiveRelease(scent.channel, command.end)
     st.last_release_end = command.end
-    return Decision(command), st
+    return Decision(command)
 
 
 def expand_rhythm(
@@ -196,7 +182,6 @@ def expand_rhythm(
     state_still_holds: bool,
     st: SchedulerState,
     cfg: SchedulerConfig,
-    now: int,
     *,
     cause: InteractionState,
 ) -> PendingRepeat | None:
@@ -220,22 +205,17 @@ def expand_rhythm(
     return st.pending_repeat
 
 
-def tick(now: int, st: SchedulerState) -> tuple[list, SchedulerState]:
-    """Advance the scheduler clock, surfacing expired events.
+def tick(now: int, st: SchedulerState) -> PendingRepeat | None:
+    """Advance the scheduler clock; return and clear a due pending repeat.
 
-    Clears the active release once its end time has passed and surfaces
-    a pending repeat whose due time has arrived. ``now`` must never move
-    backwards across calls.
+    ``now`` must never move backwards across calls.
     """
     if now < st.clock:
         raise TimeRegressionError(
             f"tick at {now} ms after clock reached {st.clock} ms")
     st.clock = now
-    events: list = []
-    if st.active is not None and st.active.end <= now:
-        events.append(ReleaseEnded(st.active.channel, st.active.end))
-        st.active = None
-    if st.pending_repeat is not None and st.pending_repeat.due <= now:
-        events.append(RepeatDue(st.pending_repeat))
-        st.pending_repeat = None
-    return events, st
+    repeat = st.pending_repeat
+    if repeat is None or repeat.due > now:
+        return None
+    st.pending_repeat = None
+    return repeat

@@ -16,6 +16,7 @@ constraints and aggregates it for operators.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,7 +44,6 @@ from .ingest import (
 from .irproto import command_sequence_for
 from .scents import SelectionHistory, expression_for, select_scent
 from .scheduler import (
-    RepeatDue,
     SchedulerConfig,
     SchedulerState,
     expand_rhythm,
@@ -72,7 +72,7 @@ SUPPRESSED_REPEAT_CANCELLED = "repeat_cancelled"
 
 
 class ScriptError(ValueError):
-    """An episode script fails validation against its session plan."""
+    """A session plan or an episode script fails validation."""
 
 
 class BlockKind(str, Enum):
@@ -86,8 +86,8 @@ class SessionBlock:
     minutes: float
 
     def __post_init__(self) -> None:
-        if not self.minutes > 0:
-            raise ValueError("block duration must be positive")
+        if not (math.isfinite(self.minutes) and self.minutes > 0):
+            raise ValueError("block duration must be positive and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,8 +195,9 @@ def default_plan(rng: random.Random, total_minutes: float = 120.0) -> SessionPla
     Blocks are appended until the requested total is covered; the last
     block is never truncated, so every block stays within its bounds.
     """
-    if total_minutes <= 0:
-        raise ValueError("total_minutes must be positive")
+    if not (math.isfinite(total_minutes) and total_minutes > 0):
+        raise ScriptError(
+            f"session length must be positive and finite, got {total_minutes:g} min")
     blocks: list[SessionBlock] = []
     elapsed = 0.0
     working = True
@@ -316,6 +317,7 @@ def replay(traces: Traces, config: "Config") -> EventLog:
 
     est = config.estimator
     sched_cfg = config.scheduler
+    horizon_ms = round(sched_cfg.repeat_check_horizon_s * 1000)
     table = config.ir_table
     scents_by_key = {s.key: s for s in config.vocabulary}
 
@@ -340,10 +342,8 @@ def replay(traces: Traces, config: "Config") -> EventLog:
                 profile=expr.profile.value)
             return
         scent = scents_by_key[select_scent(expr, history, rng)]
-        decision, _ = request(expr, scent, now, st, sched_cfg, cause=cause)
-        command = decision.command
-        pending = expand_rhythm(expr, still_holds, st, sched_cfg, now,
-                                cause=cause)
+        command = request(expr, scent, now, st, sched_cfg, cause=cause).command
+        pending = expand_rhythm(expr, still_holds, st, sched_cfg, cause=cause)
         log(now, "decision", outcome="scheduled", state=cause.value,
             profile=expr.profile.value, intensity=expr.intensity.value,
             rhythm=expr.rhythm.value)
@@ -378,21 +378,17 @@ def replay(traces: Traces, config: "Config") -> EventLog:
         last_seen[state] = now
         log(now, "interaction_state", state=state.value)
 
-        events, st = tick(now, st)
-        for event in events:
-            if not isinstance(event, RepeatDue):
-                continue
-            repeat = event.repeat
+        repeat = tick(now, st)
+        if repeat is not None:
             seen = last_seen.get(repeat.cause)
-            horizon_ms = round(sched_cfg.repeat_check_horizon_s * 1000)
             cause_holds = seen is not None and now - seen <= horizon_ms
             fire = cause_holds if repeat.conditional else (
                 state is not InteractionState.NEUTRAL)
-            if not fire:
+            if fire:
+                issue(repeat.expr, repeat.cause, now, cause_holds)
+            else:
                 log(now, "suppression", reason=SUPPRESSED_REPEAT_CANCELLED,
                     state=repeat.cause.value, profile=repeat.expr.profile.value)
-                continue
-            issue(repeat.expr, repeat.cause, now, cause_holds)
 
         expr = expression_for(state)
         if expr is not None:

@@ -31,13 +31,7 @@ from scentctl.scents import (
     expression_for,
     select_scent,
 )
-from scentctl.scheduler import (
-    RepeatDue,
-    SchedulerState,
-    expand_rhythm,
-    request,
-    tick,
-)
+from scentctl.scheduler import SchedulerState, expand_rhythm, request, tick
 from scentctl.simulate import (
     BREAK_BLOCK_MAX,
     BREAK_BLOCK_MIN,
@@ -106,21 +100,19 @@ def _drive_session(seed: int) -> list:
 
     def issue(expr, cause, still_holds, now):
         scent = SCENTS[select_scent(expr, history, rng)]
-        decision, _ = request(expr, scent, now, st, CFG.scheduler, cause=cause)
+        decision = request(expr, scent, now, st, CFG.scheduler, cause=cause)
         if decision.scheduled:
             commands.append(decision.command)
-            expand_rhythm(expr, still_holds, st, CFG.scheduler, now, cause=cause)
+            expand_rhythm(expr, still_holds, st, CFG.scheduler, cause=cause)
 
     for i in range(480):
         now = i * STRIDE_MS
-        events, _ = tick(now, st)
-        for event in events:
-            if isinstance(event, RepeatDue):
-                repeat = event.repeat
-                holds = rng.random() < 0.5
-                fire = holds if repeat.conditional else rng.random() < 0.9
-                if fire:
-                    issue(repeat.expr, repeat.cause, holds, now)
+        repeat = tick(now, st)
+        if repeat is not None:
+            holds = rng.random() < 0.5
+            fire = holds if repeat.conditional else rng.random() < 0.9
+            if fire:
+                issue(repeat.expr, repeat.cause, holds, now)
         if rng.random() < 0.3:
             cause = rng.choice(states)
             issue(expression_for(cause), cause, True, now)

@@ -112,7 +112,20 @@ def test_duplicate_ir_codes_rejected(tmp_path):
 
 def test_bad_number_reported_with_location(tmp_path):
     path = _write(tmp_path, "bad.ini", "[scheduler]\nmin_interval_s = soon\n")
-    with pytest.raises(ConfigError, match=r"\[scheduler\] min_interval_s"):
+    with pytest.raises(ConfigError,
+                       match=r"^\[scheduler\] min_interval_s: expected a number"):
+        load_config(path)
+
+
+def test_scheduler_unknown_key_checked_before_number(tmp_path):
+    path = _write(tmp_path, "bad.ini", "[scheduler]\nfoo = bar\n")
+    with pytest.raises(ConfigError, match="unknown key 'foo'"):
+        load_config(path)
+
+
+def test_scheduler_field_name_is_not_a_key(tmp_path):
+    path = _write(tmp_path, "bad.ini", "[scheduler]\nduty_map = 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'duty_map'"):
         load_config(path)
 
 
@@ -173,6 +186,20 @@ def test_cli_synth_overlapping_episodes_exit_3(tmp_path, capsys):
                  "--script", script, "--out", str(tmp_path / "x")])
     assert code == 3
     assert "overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan_args", [
+    ["--duration-min", "0"],
+    ["--duration-min=-5"],
+    ["--duration-min", "nan"],
+    ["--duration-min", "inf"],
+    ["--blocks", "work:inf"],
+])
+def test_cli_synth_bad_session_length_exit_3(tmp_path, capsys, plan_args):
+    code = main(["synth", "--seed", "1", *plan_args,
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_cli_replay_round_trip(tmp_path):

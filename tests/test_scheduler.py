@@ -18,8 +18,6 @@ from scentctl.scents import (
 from scentctl.scheduler import (
     DEFAULT_BURST_DURATION_S,
     DEFAULT_DUTY_MAP,
-    ReleaseEnded,
-    RepeatDue,
     SchedulerConfig,
     SchedulerState,
     TimeRegressionError,
@@ -40,14 +38,14 @@ EXPR_CONDITIONAL = expression_for(InteractionState.LOW_ALERTNESS)
 
 def _request(now, st, expr=EXPR_SINGLE, scent="rose_geranium",
              cause=InteractionState.RECOVERY, cfg=CFG):
-    decision, st = request(expr, SCENTS[scent], now, st, cfg, cause=cause)
-    return decision, st
+    return request(expr, SCENTS[scent], now, st, cfg, cause=cause)
 
 
 # -- request ----------------------------------------------------------------
 
 def test_first_request_is_scheduled():
-    decision, st = _request(0, SchedulerState())
+    st = SchedulerState()
+    decision = _request(0, st)
     assert decision.scheduled
     cmd = decision.command
     assert cmd.start == 0
@@ -56,36 +54,36 @@ def test_first_request_is_scheduled():
     assert cmd.duration_s == 8.0
     assert cmd.end == 8000
     assert st.last_release_end == 8000
-    assert st.active.end == 8000
+    assert suppression_reason(7999, st, CFG) == "channel_active"
 
 
 def test_request_duty_and_duration_from_maps():
-    decision, _ = _request(0, SchedulerState(), expr=EXPR_REPEATING,
-                           scent="cedarwood", cause=ESP)
+    decision = _request(0, SchedulerState(), expr=EXPR_REPEATING,
+                        scent="cedarwood", cause=ESP)
     assert decision.command.duty == 0.80
     assert decision.command.duration_s == 12.0
 
 
 def test_cooldown_suppression_ten_minutes():
     st = SchedulerState(last_release_end=0)
-    decision, _ = _request(600_000, st)
+    decision = _request(600_000, st)
     assert not decision.scheduled
     assert decision.reason == "cooldown"
 
 
 def test_cooldown_boundary_inclusive():
     st = SchedulerState(last_release_end=0)
-    decision, _ = _request(900_000, st)
+    decision = _request(900_000, st)
     assert decision.scheduled
     st = SchedulerState(last_release_end=0)
-    decision, _ = _request(899_999, st)
+    decision = _request(899_999, st)
     assert decision.reason == "cooldown"
 
 
 def test_channel_active_suppression():
     st = SchedulerState()
     _request(0, st)
-    decision, _ = _request(4000, st)
+    decision = _request(4000, st)
     assert decision.reason == "channel_active"
 
 
@@ -100,7 +98,7 @@ def test_suppression_reason_helper_matches_request():
 def test_expand_repeating_enqueues_at_end_plus_interval():
     st = SchedulerState()
     _request(0, st, expr=EXPR_REPEATING, scent="cedarwood", cause=ESP)
-    pending = expand_rhythm(EXPR_REPEATING, True, st, CFG, 0, cause=ESP)
+    pending = expand_rhythm(EXPR_REPEATING, True, st, CFG, cause=ESP)
     assert pending is not None
     assert pending.due == 12000 + 900_000
     assert not pending.conditional
@@ -111,7 +109,7 @@ def test_expand_conditional_flagged():
     st = SchedulerState()
     _request(0, st, expr=EXPR_CONDITIONAL, scent="peppermint",
              cause=InteractionState.LOW_ALERTNESS)
-    pending = expand_rhythm(EXPR_CONDITIONAL, True, st, CFG, 0,
+    pending = expand_rhythm(EXPR_CONDITIONAL, True, st, CFG,
                             cause=InteractionState.LOW_ALERTNESS)
     assert pending.conditional
     assert pending.due == 8000 + 900_000
@@ -120,7 +118,7 @@ def test_expand_conditional_flagged():
 def test_expand_single_brief_never_repeats():
     st = SchedulerState()
     _request(0, st)
-    assert expand_rhythm(EXPR_SINGLE, True, st, CFG, 0,
+    assert expand_rhythm(EXPR_SINGLE, True, st, CFG,
                          cause=InteractionState.RECOVERY) is None
     assert st.pending_repeat is None
 
@@ -128,13 +126,13 @@ def test_expand_single_brief_never_repeats():
 def test_expand_stale_state_arms_nothing():
     st = SchedulerState()
     _request(0, st, expr=EXPR_REPEATING, scent="cedarwood", cause=ESP)
-    assert expand_rhythm(EXPR_REPEATING, False, st, CFG, 0, cause=ESP) is None
+    assert expand_rhythm(EXPR_REPEATING, False, st, CFG, cause=ESP) is None
     assert st.pending_repeat is None
 
 
 def test_expand_requires_prior_release():
     with pytest.raises(ValueError):
-        expand_rhythm(EXPR_REPEATING, True, SchedulerState(), CFG, 0, cause=ESP)
+        expand_rhythm(EXPR_REPEATING, True, SchedulerState(), CFG, cause=ESP)
 
 
 # -- tick -------------------------------------------------------------------
@@ -142,35 +140,33 @@ def test_expand_requires_prior_release():
 def test_tick_clears_expired_active():
     st = SchedulerState()
     _request(0, st)  # ends at 8000
-    events, st = tick(8000, st)
-    assert events == [ReleaseEnded(SCENTS["rose_geranium"].channel, 8000)]
-    assert st.active is None
+    assert tick(8000, st) is None
+    assert suppression_reason(8000, st, CFG) == "cooldown"
 
 
 def test_tick_keeps_running_active():
     st = SchedulerState()
     _request(0, st)
-    events, st = tick(4000, st)
-    assert events == []
-    assert st.active is not None
+    assert tick(4000, st) is None
+    assert suppression_reason(4000, st, CFG) == "channel_active"
 
 
 def test_tick_surfaces_due_repeat():
     st = SchedulerState()
     _request(0, st, expr=EXPR_REPEATING, scent="vetiver", cause=ESP)
-    expand_rhythm(EXPR_REPEATING, True, st, CFG, 0, cause=ESP)
-    events, st = tick(912_000, st)
-    kinds = [type(e) for e in events]
-    assert kinds == [ReleaseEnded, RepeatDue]
+    pending = expand_rhythm(EXPR_REPEATING, True, st, CFG, cause=ESP)
+    assert tick(911_999, st) is None
+    assert st.pending_repeat is pending
+    assert tick(912_000, st) is pending
     assert st.pending_repeat is None
 
 
 def test_tick_idempotent_at_same_instant():
     st = SchedulerState()
-    _request(0, st)
-    tick(8000, st)
-    events, st = tick(8000, st)
-    assert events == []
+    _request(0, st, expr=EXPR_REPEATING, scent="vetiver", cause=ESP)
+    expand_rhythm(EXPR_REPEATING, True, st, CFG, cause=ESP)
+    assert tick(912_000, st) is not None
+    assert tick(912_000, st) is None
 
 
 def test_tick_time_regression_rejected():
@@ -194,7 +190,7 @@ def test_identical_streams_identical_commands():
             if rng.random() < 0.4:
                 expr = EXPR_REPEATING
                 scent = SCENTS[select_scent(expr, history, rng)]
-                decision, st = request(expr, scent, now, st, CFG, cause=ESP)
+                decision = request(expr, scent, now, st, CFG, cause=ESP)
                 log.append((now, decision.command.scent if decision.scheduled
                             else decision.reason))
         return log
@@ -271,7 +267,7 @@ def test_scheduler_matches_brute_force(seed):
         idx = rng.randrange(3)
         expr, cause = exprs[idx], causes[idx]
         scent = SCENTS[rng.choice(expr.members)]
-        decision, st = request(expr, scent, now, st, cfg, cause=cause)
+        decision = request(expr, scent, now, st, cfg, cause=cause)
         trace.append((now, cfg.burst_duration_s[expr.rhythm]))
         actual.append("scheduled" if decision.scheduled else decision.reason)
 

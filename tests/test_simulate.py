@@ -59,6 +59,14 @@ def test_default_plan_alternates_within_bounds():
     assert plan.total_minutes >= 240
 
 
+@pytest.mark.parametrize("minutes", [0.0, -5.0, float("nan"), float("inf")])
+def test_plan_lengths_must_be_positive_and_finite(minutes):
+    with pytest.raises(ScriptError):
+        default_plan(random.Random(0), total_minutes=minutes)
+    with pytest.raises(ValueError):
+        SessionBlock(BlockKind.WORK, minutes)
+
+
 def test_plan_block_lookup():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),
                         SessionBlock(BlockKind.BREAK, 10.0)))
