@@ -12,11 +12,12 @@ here is a pure function over immutable samples, safe from any thread.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
+from statistics import fmean
 from typing import Sequence
-
-import numpy as np
 
 # Physiologically plausible inter-beat interval range, ms.
 RR_MIN_MS = 300.0
@@ -189,24 +190,15 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
         if ts < 0:
             raise StreamFormatError("negative timestamp", line_no)
 
-        if schema == "rr":
+        if schema != "context":
             try:
                 value = float(fields[1])
             except ValueError:
                 raise StreamFormatError(
-                    f"bad rr value {fields[1]!r}", line_no) from None
+                    f"bad {schema} value {fields[1]!r}", line_no) from None
             if not value > 0:
-                raise StreamFormatError("rr must be positive", line_no)
-            sample: object = RRSample(ts, value)
-        elif schema == "hr":
-            try:
-                value = float(fields[1])
-            except ValueError:
-                raise StreamFormatError(
-                    f"bad hr value {fields[1]!r}", line_no) from None
-            if not value > 0:
-                raise StreamFormatError("hr must be positive", line_no)
-            sample = HRSample(ts, value)
+                raise StreamFormatError(f"{schema} must be positive", line_no)
+            sample: object = (RRSample if schema == "rr" else HRSample)(ts, value)
         else:
             active = _parse_bool(fields[1], line_no)
             try:
@@ -285,25 +277,32 @@ def clean_hr(samples: Sequence[HRSample]) -> list[HRSample]:
     return [s for s in samples if HR_MIN_BPM <= s.hr <= HR_MAX_BPM]
 
 
+def _std(xs: Sequence[float], ddof: int = 0) -> float:
+    """Std with divisor ``len(xs) - ddof``, centred on ``xs[0]`` so constants give 0.0."""
+    dev = [x - xs[0] for x in xs]
+    m = fmean(dev)
+    return math.sqrt(math.fsum([(d - m) * (d - m) for d in dev]) / (len(dev) - ddof))
+
+
 def compute_rmssd(rr: Sequence[float]) -> float:
     """Root mean square of successive differences over an RR sequence, ms."""
     if len(rr) < 2:
         raise InsufficientDataError(
             f"RMSSD needs at least 2 intervals, got {len(rr)}")
-    diffs = np.diff(np.asarray(rr, dtype=float))
-    return float(np.sqrt(np.mean(diffs * diffs)))
+    return math.sqrt(fmean([(b - a) * (b - a) for a, b in pairwise(rr)]))
 
 
 def compute_sdnn(rr: Sequence[float]) -> float:
     """Population standard deviation of an RR sequence, ms.
 
-    Population form (divisor n) keeps the constant-series case exactly
-    zero; the statistic is descriptive over a fixed window.
+    Population form (divisor n): descriptive over a fixed window. Sums are
+    correctly rounded, so the result is the same bits on every interpreter,
+    and a constant series gives exactly 0.0.
     """
     if len(rr) < 2:
         raise InsufficientDataError(
             f"SDNN needs at least 2 intervals, got {len(rr)}")
-    return float(np.std(np.asarray(rr, dtype=float)))
+    return _std(rr)
 
 
 def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
@@ -316,16 +315,16 @@ def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
     if len(calibration) < 3:
         raise InsufficientDataError(
             f"baseline calibration needs at least 3 windows, got {len(calibration)}")
-    hr = np.array([w.mean_hr for w in calibration])
-    rmssd = np.array([w.rmssd for w in calibration])
-    sdnn = np.array([w.sdnn for w in calibration])
+    hr = [w.mean_hr for w in calibration]
+    rmssd = [w.rmssd for w in calibration]
+    sdnn = [w.sdnn for w in calibration]
     return Baseline(
-        mean_hr=float(np.mean(hr)),
-        mean_rmssd=float(np.mean(rmssd)),
-        mean_sdnn=float(np.mean(sdnn)),
-        hr_scale=max(float(np.std(hr, ddof=1)), HR_SCALE_FLOOR),
-        rmssd_scale=max(float(np.std(rmssd, ddof=1)), RMSSD_SCALE_FLOOR),
-        sdnn_scale=max(float(np.std(sdnn, ddof=1)), SDNN_SCALE_FLOOR),
+        mean_hr=fmean(hr),
+        mean_rmssd=fmean(rmssd),
+        mean_sdnn=fmean(sdnn),
+        hr_scale=max(_std(hr, ddof=1), HR_SCALE_FLOOR),
+        rmssd_scale=max(_std(rmssd, ddof=1), RMSSD_SCALE_FLOOR),
+        sdnn_scale=max(_std(sdnn, ddof=1), SDNN_SCALE_FLOOR),
     )
 
 
@@ -379,12 +378,12 @@ def window_features(
     if stride_s <= 0:
         raise ValueError("stride_s must be positive")
 
-    rr_ts = np.array([s.timestamp for s in rr], dtype=np.int64)
-    rr_v = np.array([s.rr for s in rr], dtype=float)
-    hr_ts = np.array([s.timestamp for s in hr], dtype=np.int64)
-    hr_v = np.array([s.hr for s in hr], dtype=float)
+    rr_ts = [s.timestamp for s in rr]
+    rr_v = [s.rr for s in rr]
+    hr_ts = [s.timestamp for s in hr]
+    hr_v = [s.hr for s in hr]
 
-    ends = [int(a[-1]) for a in (rr_ts, hr_ts) if len(a)]
+    ends = [a[-1] for a in (rr_ts, hr_ts) if a]
     if not ends:
         return []
     trace_end = max(ends)
@@ -396,18 +395,18 @@ def window_features(
     start = 0
     while start + window_ms <= trace_end:
         end = start + window_ms
-        i0 = int(np.searchsorted(rr_ts, start, side="left"))
-        i1 = int(np.searchsorted(rr_ts, end, side="left"))
+        i0 = bisect.bisect_left(rr_ts, start)
+        i1 = bisect.bisect_left(rr_ts, end)
         if i1 - i0 >= 2:
             seg = rr_v[i0:i1]
             rmssd = compute_rmssd(seg)
             sdnn = compute_sdnn(seg)
-            j0 = int(np.searchsorted(hr_ts, start, side="left"))
-            j1 = int(np.searchsorted(hr_ts, end, side="left"))
+            j0 = bisect.bisect_left(hr_ts, start)
+            j1 = bisect.bisect_left(hr_ts, end)
             if j1 > j0:
-                mean_hr = float(np.mean(hr_v[j0:j1]))
+                mean_hr = fmean(hr_v[j0:j1])
             else:
-                mean_hr = 60000.0 / float(np.mean(seg))
+                mean_hr = 60000.0 / fmean(seg)
             windows.append(FeatureWindow(
                 window_start=start,
                 window_end=end,

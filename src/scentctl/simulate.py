@@ -60,6 +60,8 @@ WORK_BLOCK_MIN = 30.0
 WORK_BLOCK_MAX = 45.0
 BREAK_BLOCK_MIN = 5.0
 BREAK_BLOCK_MAX = 10.0
+# Longest session a plan may cover: 7 days, the longest one benchmarked.
+MAX_SESSION_MIN = 7 * 24 * 60
 
 # Episode effects ramp in and out over this many minutes so the RR
 # stream never jumps hard enough to look like an artifact.
@@ -97,6 +99,9 @@ class SessionPlan:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("plan needs at least one block")
+        if self.total_minutes > MAX_SESSION_MIN:
+            raise ScriptError(f"plan of {self.total_minutes:g} min exceeds the "
+                              f"{MAX_SESSION_MIN:g}-minute limit")
 
     @property
     def total_minutes(self) -> float:
@@ -124,7 +129,7 @@ class Episode:
     magnitude: float
 
     def __post_init__(self) -> None:
-        if self.start_min < 0:
+        if not self.start_min >= 0:
             raise ValueError("episode start must be non-negative")
         if not self.duration_min > 0:
             raise ValueError("episode duration must be positive")
@@ -193,11 +198,13 @@ def default_plan(rng: random.Random, total_minutes: float = 120.0) -> SessionPla
     """Alternating work/break blocks drawn from the ergonomic bounds.
 
     Blocks are appended until the requested total is covered; the last
-    block is never truncated, so every block stays within its bounds.
+    block is never truncated, so every block stays within its bounds and
+    the plan may overrun the total by up to one block. The total must be
+    positive and at most `MAX_SESSION_MIN`, and so must the plan.
     """
-    if not (math.isfinite(total_minutes) and total_minutes > 0):
-        raise ScriptError(
-            f"session length must be positive and finite, got {total_minutes:g} min")
+    if not 0 < total_minutes <= MAX_SESSION_MIN:
+        raise ScriptError(f"session length must be positive and at most "
+                          f"{MAX_SESSION_MIN:g} min, got {total_minutes:g} min")
     blocks: list[SessionBlock] = []
     elapsed = 0.0
     working = True

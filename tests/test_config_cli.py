@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from scentctl.cli import main
+import scentctl
+from scentctl.cli import CONFIG_ENV_VAR, main
 from scentctl.config import ConfigError, default_config, load_config
 from scentctl.irproto import POWER
 from scentctl.scents import Intensity, Rhythm
@@ -200,6 +205,42 @@ def test_cli_synth_bad_session_length_exit_3(tmp_path, capsys, plan_args):
                  "--out", str(tmp_path / "x")])
     assert code == 3
     assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_synth_nan_episode_start_exit_3(tmp_path, capsys):
+    script = _write(tmp_path, "script.csv", "nan,10,stress,1.0\n")
+    code = main(["synth", "--seed", "1", "--blocks", "work:30",
+                 "--script", script, "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "validation error" in capsys.readouterr().err
+
+
+def _cli_subprocess(argv, prelude=""):
+    """Run ``main(argv)`` in a fresh interpreter; a hang fails at the timeout."""
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(scentctl.__file__).resolve().parents[1])
+    code = f"{prelude}from scentctl.cli import main; raise SystemExit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("plan_args", [
+    ["--duration-min", "1e8"],
+    ["--blocks", "work:1e8"],
+])
+def test_cli_synth_session_over_seven_days_exit_3(tmp_path, plan_args):
+    proc = _cli_subprocess(["synth", "--seed", "1", *plan_args,
+                            "--out", str(tmp_path / "x")])
+    assert proc.returncode == 3, proc.stderr
+    assert "validation error" in proc.stderr
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    proc = _cli_subprocess(
+        ["synth", "--seed", "7", "--duration-min", "20", "--out", str(tmp_path)],
+        prelude="import sys; sys.modules['numpy'] = None; ")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "summary.json").exists()
 
 
 def test_cli_replay_round_trip(tmp_path):

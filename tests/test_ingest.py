@@ -71,6 +71,19 @@ def test_parse_malformed_later_line():
         parse_rr_stream("0,800\n800,810\n1600,?")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_rr_stream, "0,800\n800,abc", "line 2: bad rr value 'abc'"),
+    (parse_rr_stream, "0,800\n800,0", "line 2: rr must be positive"),
+    (parse_hr_stream, "0,72\n1000,x", "line 2: bad hr value 'x'"),
+    (parse_hr_stream, "0,72\n1000,-1", "line 2: hr must be positive"),
+])
+def test_parse_bad_value_messages(parse, text, message):
+    with pytest.raises(StreamFormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.line == 2
+
+
 def test_parse_non_monotonic_rejected():
     with pytest.raises(StreamFormatError, match="non-monotonic"):
         parse_rr_stream("0,800\n800,810\n400,805")
@@ -200,6 +213,11 @@ def test_zero_iff_constant():
     assert compute_sdnn([812.5] * 10) == 0.0
     assert compute_rmssd([800, 801]) > 0
     assert compute_sdnn([800, 801]) > 0
+    # 3-decimal constants, as a CSV carries them, give exactly zero SDNN.
+    rng = random.Random(1996)
+    for _ in range(500):
+        value, n = round(rng.uniform(300, 2000), 3), rng.randint(2, 300)
+        assert compute_sdnn([value] * n) == 0.0, (value, n)
 
 
 # -- baseline ---------------------------------------------------------------

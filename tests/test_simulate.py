@@ -13,6 +13,7 @@ from scentctl.scents import PROFILE_MEMBERS, Profile
 from scentctl.simulate import (
     BREAK_BLOCK_MAX,
     BREAK_BLOCK_MIN,
+    MAX_SESSION_MIN,
     WORK_BLOCK_MAX,
     WORK_BLOCK_MIN,
     BlockKind,
@@ -67,6 +68,16 @@ def test_plan_lengths_must_be_positive_and_finite(minutes):
         SessionBlock(BlockKind.WORK, minutes)
 
 
+def test_plan_length_bounded_by_seven_days():
+    assert default_plan(random.Random(0), total_minutes=1440).total_minutes >= 1440
+    with pytest.raises(ScriptError, match="at most"):
+        default_plan(random.Random(0), total_minutes=1e8)
+    with pytest.raises(ScriptError, match="exceeds"):
+        SessionPlan((SessionBlock(BlockKind.WORK, MAX_SESSION_MIN),
+                     SessionBlock(BlockKind.BREAK, 5.0)))
+    assert SessionPlan((SessionBlock(BlockKind.WORK, MAX_SESSION_MIN),)).blocks
+
+
 def test_plan_block_lookup():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),
                         SessionBlock(BlockKind.BREAK, 10.0)))
@@ -101,6 +112,8 @@ def test_episode_field_validation():
         Episode(0.0, 10.0, EpisodeKind.STRESS, 1.2)
     with pytest.raises(ValueError):
         Episode(-1.0, 10.0, EpisodeKind.STRESS, 0.5)
+    with pytest.raises(ValueError, match="start"):
+        Episode(float("nan"), 10.0, EpisodeKind.STRESS, 0.5)
 
 
 # -- generation --------------------------------------------------------------
