@@ -7,6 +7,11 @@ deviations, together with the contextual flags the classifier needs.
 
 All timestamps are integer milliseconds since session start. Everything
 here is a pure function over immutable samples, safe from any thread.
+
+Ingest is linear in its input. Parsing is one pass over the lines, in
+which ordinary rows take a cheap path. `window_features` builds its
+context lookup (each row's timestamp and the start of its active run)
+in one pass, then pays one bisect per window.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
 from statistics import fmean
-from typing import Sequence
+from typing import Callable, Sequence
 
 # Physiologically plausible inter-beat interval range, ms.
 RR_MIN_MS = 300.0
@@ -168,16 +173,31 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
     if schema not in ("rr", "hr", "context"):
         raise ValueError(f"unknown stream schema {schema!r}")
     n_fields = 3 if schema == "context" else 2
+    make = {"rr": RRSample, "hr": HRSample}.get(schema)
 
     samples: list = []
-    prev_ts: int | None = None
-    seen_data = False
+    prev_ts = -1  # below every valid timestamp
     for line_no, raw in enumerate(stream.splitlines(), start=1):
+        if make is not None:
+            # The common row: two numbers, a later timestamp, a positive
+            # value. int() and float() strip the same whitespace as
+            # str.strip(), so it gives the checked path's sample; every
+            # other row falls through to the checked path and its errors.
+            a, _, b = raw.partition(",")
+            try:
+                ts, value = int(a), float(b)
+            except ValueError:
+                pass
+            else:
+                if ts > prev_ts and value > 0:
+                    samples.append(make(ts, value))
+                    prev_ts = ts
+                    continue
         line = raw.strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if not seen_data and not _looks_numeric(fields[0]):
+        if not samples and not _looks_numeric(fields[0]):
             continue  # optional header
         if len(fields) != n_fields:
             raise StreamFormatError(
@@ -190,7 +210,7 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
         if ts < 0:
             raise StreamFormatError("negative timestamp", line_no)
 
-        if schema != "context":
+        if make is not None:
             try:
                 value = float(fields[1])
             except ValueError:
@@ -198,7 +218,7 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
                     f"bad {schema} value {fields[1]!r}", line_no) from None
             if not value > 0:
                 raise StreamFormatError(f"{schema} must be positive", line_no)
-            sample: object = (RRSample if schema == "rr" else HRSample)(ts, value)
+            sample: object = make(ts, value)
         else:
             active = _parse_bool(fields[1], line_no)
             try:
@@ -208,15 +228,14 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
                     f"bad activity state {fields[2]!r}", line_no) from None
             sample = ContextSample(ts, active, activity)
 
-        if prev_ts is not None and ts < prev_ts:
+        if ts < prev_ts:
             raise StreamFormatError(
                 f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
-        if prev_ts is not None and ts == prev_ts:
+        if ts == prev_ts:
             samples[-1] = sample  # duplicate timestamp: last value wins
         else:
             samples.append(sample)
         prev_ts = ts
-        seen_data = True
 
     if not samples:
         raise StreamFormatError("empty stream")
@@ -328,6 +347,37 @@ def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
     )
 
 
+def _context_lookup(
+        samples: Sequence[ContextSample]) -> Callable[[int], ContextFlags]:
+    """Build, in one pass over ``samples``, the `context_at` function of ``t``.
+
+    The pass records each row's timestamp and the start of the active run
+    the row belongs to; a run that reaches the first row counts from time
+    zero. Each lookup is then one bisect.
+    """
+    if not samples:
+        return lambda t: ContextFlags(t / 60000.0, ActivityState.SEDENTARY, True)
+    timestamps: list[int] = []
+    run_starts: list[int] = []
+    run_start, prev_active = 0, True
+    for s in samples:
+        if s.session_active and not prev_active:
+            run_start = s.timestamp
+        prev_active = s.session_active
+        timestamps.append(s.timestamp)
+        run_starts.append(run_start)
+
+    def flags_at(t: int) -> ContextFlags:
+        idx = max(bisect.bisect_right(timestamps, t) - 1, 0)
+        current = samples[idx]
+        if not current.session_active:
+            return ContextFlags(0.0, current.activity_state, False)
+        return ContextFlags((t - run_starts[idx]) / 60000.0,
+                            current.activity_state, True)
+
+    return flags_at
+
+
 def context_at(samples: Sequence[ContextSample], t: int) -> ContextFlags:
     """Contextual flags in effect at time ``t``.
 
@@ -335,27 +385,13 @@ def context_at(samples: Sequence[ContextSample], t: int) -> ContextFlags:
     unbroken ``session_active`` run and reset to zero whenever the
     session is inactive. With no context stream the session is assumed
     active (continuous desk work) from time zero; state before the first
-    record extends the first record backwards.
+    record extends the first record backwards, and an active run that
+    reaches the first record counts from time zero.
+
+    Each call costs one pass over ``samples``; `window_features` builds
+    the lookup once and pays one bisect per window.
     """
-    if not samples:
-        return ContextFlags(work_minutes_continuous=t / 60000.0,
-                            activity_state=ActivityState.SEDENTARY,
-                            session_active=True)
-    timestamps = [s.timestamp for s in samples]
-    idx = bisect.bisect_right(timestamps, t) - 1
-    if idx < 0:
-        first = samples[0]
-        if first.session_active:
-            return ContextFlags(t / 60000.0, first.activity_state, True)
-        return ContextFlags(0.0, first.activity_state, False)
-    current = samples[idx]
-    if not current.session_active:
-        return ContextFlags(0.0, current.activity_state, False)
-    j = idx
-    while j > 0 and samples[j - 1].session_active:
-        j -= 1
-    run_start = 0 if j == 0 else samples[j].timestamp
-    return ContextFlags((t - run_start) / 60000.0, current.activity_state, True)
+    return _context_lookup(samples)(t)
 
 
 def window_features(
@@ -391,6 +427,7 @@ def window_features(
     window_ms = round(window_len_s * 1000)
     stride_ms = round(stride_s * 1000)
 
+    flags_at = _context_lookup(context)
     windows: list[FeatureWindow] = []
     start = 0
     while start + window_ms <= trace_end:
@@ -416,7 +453,7 @@ def window_features(
                 z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
                 z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
                 z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
-                context=context_at(context, end),
+                context=flags_at(end),
             ))
         start += stride_ms
     return windows

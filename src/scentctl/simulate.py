@@ -197,10 +197,11 @@ class Traces:
 def default_plan(rng: random.Random, total_minutes: float = 120.0) -> SessionPlan:
     """Alternating work/break blocks drawn from the ergonomic bounds.
 
-    Blocks are appended until the requested total is covered; the last
-    block is never truncated, so every block stays within its bounds and
-    the plan may overrun the total by up to one block. The total must be
-    positive and at most `MAX_SESSION_MIN`, and so must the plan.
+    Blocks are appended until the requested total is covered, so the plan
+    may overrun the total by up to one block. The total must be positive
+    and at most `MAX_SESSION_MIN`; a last block that would cross
+    `MAX_SESSION_MIN` is cut to end exactly there, and only that block
+    may fall short of its bounds.
     """
     if not 0 < total_minutes <= MAX_SESSION_MIN:
         raise ScriptError(f"session length must be positive and at most "
@@ -210,11 +211,13 @@ def default_plan(rng: random.Random, total_minutes: float = 120.0) -> SessionPla
     working = True
     while elapsed < total_minutes:
         if working:
-            minutes = rng.uniform(WORK_BLOCK_MIN, WORK_BLOCK_MAX)
-            blocks.append(SessionBlock(BlockKind.WORK, minutes))
+            kind, low, high = BlockKind.WORK, WORK_BLOCK_MIN, WORK_BLOCK_MAX
         else:
-            minutes = rng.uniform(BREAK_BLOCK_MIN, BREAK_BLOCK_MAX)
-            blocks.append(SessionBlock(BlockKind.BREAK, minutes))
+            kind, low, high = BlockKind.BREAK, BREAK_BLOCK_MIN, BREAK_BLOCK_MAX
+        # The cut binds only within one block of the limit, where the
+        # difference is exact (Sterbenz), so the plan sums to the limit.
+        minutes = min(rng.uniform(low, high), MAX_SESSION_MIN - elapsed)
+        blocks.append(SessionBlock(kind, minutes))
         elapsed += minutes
         working = not working
     return SessionPlan(tuple(blocks))

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scentctl.ingest import (
     ActivityState,
@@ -352,3 +353,241 @@ def test_window_features_all_finite_random():
         for value in (w.rmssd, w.sdnn, w.mean_hr, w.z_hr, w.z_rmssd, w.z_sdnn):
             assert math.isfinite(value)
         assert w.rmssd >= 0 and w.sdnn >= 0
+
+
+# -- differential checks against the line-by-line implementation -----------
+#
+# The references below are verbatim copies of the line-by-line
+# `parse_samples` and the per-call `context_at` that the cheap parse path
+# and the one-pass context lookup replaced. The new code must agree with
+# them on every input (differential testing: McKeeman 1998, Digital
+# Technical Journal 10(1)).
+
+_REF_TRUE_WORDS = {"1", "true", "yes"}
+_REF_FALSE_WORDS = {"0", "false", "no"}
+
+
+def _ref_parse_bool(text: str, line_no: int) -> bool:
+    word = text.lower()
+    if word in _REF_TRUE_WORDS:
+        return True
+    if word in _REF_FALSE_WORDS:
+        return False
+    raise StreamFormatError(f"expected boolean, got {text!r}", line_no)
+
+
+def _ref_looks_numeric(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_parse_samples(stream: str, schema: str = "rr") -> list:
+    if schema not in ("rr", "hr", "context"):
+        raise ValueError(f"unknown stream schema {schema!r}")
+    n_fields = 3 if schema == "context" else 2
+
+    samples: list = []
+    prev_ts: int | None = None
+    seen_data = False
+    for line_no, raw in enumerate(stream.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not seen_data and not _ref_looks_numeric(fields[0]):
+            continue  # optional header
+        if len(fields) != n_fields:
+            raise StreamFormatError(
+                f"expected {n_fields} fields, got {len(fields)}", line_no)
+        try:
+            ts = int(fields[0])
+        except ValueError:
+            raise StreamFormatError(
+                f"bad timestamp {fields[0]!r}", line_no) from None
+        if ts < 0:
+            raise StreamFormatError("negative timestamp", line_no)
+
+        if schema != "context":
+            try:
+                value = float(fields[1])
+            except ValueError:
+                raise StreamFormatError(
+                    f"bad {schema} value {fields[1]!r}", line_no) from None
+            if not value > 0:
+                raise StreamFormatError(f"{schema} must be positive", line_no)
+            sample: object = (RRSample if schema == "rr" else HRSample)(ts, value)
+        else:
+            active = _ref_parse_bool(fields[1], line_no)
+            try:
+                activity = ActivityState(fields[2].lower())
+            except ValueError:
+                raise StreamFormatError(
+                    f"bad activity state {fields[2]!r}", line_no) from None
+            sample = ContextSample(ts, active, activity)
+
+        if prev_ts is not None and ts < prev_ts:
+            raise StreamFormatError(
+                f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
+        if prev_ts is not None and ts == prev_ts:
+            samples[-1] = sample  # duplicate timestamp: last value wins
+        else:
+            samples.append(sample)
+        prev_ts = ts
+        seen_data = True
+
+    if not samples:
+        raise StreamFormatError("empty stream")
+    return samples
+
+
+def reference_context_at(samples, t: int) -> ContextFlags:
+    if not samples:
+        return ContextFlags(work_minutes_continuous=t / 60000.0,
+                            activity_state=ActivityState.SEDENTARY,
+                            session_active=True)
+    timestamps = [s.timestamp for s in samples]
+    idx = bisect.bisect_right(timestamps, t) - 1
+    if idx < 0:
+        first = samples[0]
+        if first.session_active:
+            return ContextFlags(t / 60000.0, first.activity_state, True)
+        return ContextFlags(0.0, first.activity_state, False)
+    current = samples[idx]
+    if not current.session_active:
+        return ContextFlags(0.0, current.activity_state, False)
+    j = idx
+    while j > 0 and samples[j - 1].session_active:
+        j -= 1
+    run_start = 0 if j == 0 else samples[j].timestamp
+    return ContextFlags((t - run_start) / 60000.0, current.activity_state, True)
+
+
+# Whitespace that str.strip(), int() and float() all remove, including
+# non-ASCII spaces; \x1f is whitespace that str.splitlines() keeps.
+_PADS = ["", "", "", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
+# Per schema: values both parsers accept, then values they must reject.
+_VALUES = {
+    "rr": (["800", "810.5", "1_000", "+5", "1e3", "inf", "\uff18\uff10\uff10", "5e-324"],
+           ["nan", "-inf", "0", "0.0", "-0.0", "-3", "abc", "", "0x10", "800,1"]),
+    "context": (["1,sedentary", "0,active", "true,ACTIVE", "no , sedentary"],
+                ["2,sedentary", "1,walking", "1", "1,active,x"]),
+}
+_VALUES["hr"] = _VALUES["rr"]
+
+
+@st.composite
+def _streams(draw):
+    """(schema, text): mostly valid rows, with odd fragments at a drawn rate."""
+    schema = draw(st.sampled_from(["rr", "hr", "context"]))
+    noise = draw(st.sampled_from([0, 1, 3, 10]))  # odd picks per 40
+
+    def pick(good, odd=()):
+        if odd and draw(st.integers(0, 39)) < noise:
+            return draw(st.sampled_from(odd))
+        return draw(st.sampled_from(good))
+
+    lines = [draw(st.sampled_from(["timestamp_ms,value", " ts , value "]))
+             for _ in range(draw(st.integers(0, 1)))]
+    ts = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 25))):
+        kind = pick(["row"] * 6 + ["blank"], ["header", "odd"])
+        if kind == "header":
+            lines.append(draw(st.sampled_from(["timestamp_ms,rr_ms", "a,b,c", "a"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "odd":
+            lines.append(draw(st.sampled_from(
+                [",", "800", "1,2,3", "0,800,", " ,800", "x,1", "-1,800"])))
+        else:
+            ts += pick([1, 800, 805, 1000, 0], [-1, -800])  # 0: duplicate
+            ts_text = pick([str(ts), str(ts), f"{ts:_}", f"+{ts}", f"0{ts}"],
+                           [f"{ts}.0", "-5", "x", ""])
+            value = pick(*_VALUES[schema])
+            lines.append(f"{pick(_PADS)}{ts_text}{pick(_PADS)},"
+                         f"{pick(_PADS)}{value}{pick(_PADS)}")
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return schema, ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _parse_outcome(parse, schema, text):
+    try:
+        return repr(parse(text, schema))  # repr: floats compared bit for bit
+    except StreamFormatError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=200)
+@example(("rr", "-1,800"))
+@example(("rr", "0,800\n0,810\n800,0"))
+@example(("hr", "timestamp_ms,hr_bpm\r\n\r\n 5 ,\u3000 72.5\x1f\r\n6,nan"))
+@example(("context", "0,1,sedentary\n0,0,active\n-1,1,active"))
+@given(_streams())
+def test_parse_matches_line_by_line_reference(case):
+    schema, text = case
+    assert (_parse_outcome(parse_samples, schema, text)
+            == _parse_outcome(reference_parse_samples, schema, text))
+
+
+@st.composite
+def _context_streams(draw):
+    """Context rows with a first timestamp that may be > 0 and repeats."""
+    rows, ts = [], draw(st.integers(0, 90000))
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append(ContextSample(ts, draw(st.booleans()),
+                                  draw(st.sampled_from(ActivityState))))
+        ts += draw(st.one_of(st.just(0), st.integers(1, 90000)))
+    return rows
+
+
+_SED = ActivityState.SEDENTARY
+
+
+@example([], [0, 45 * 60000])
+@example([ContextSample(60000, True, _SED)], [30000, 60000, 120000])
+@example([ContextSample(60000, False, _SED), ContextSample(90000, True, _SED)],
+         [0, 60000, 120000])
+@example([ContextSample(5000, True, _SED), ContextSample(9000, True, _SED),
+          ContextSample(20000, False, _SED), ContextSample(30000, True, _SED)],
+         [0, 10000, 25000, 40000])
+@given(_context_streams(), st.lists(st.integers(-1000, 1_200_000),
+                                    min_size=1, max_size=10))
+def test_context_at_matches_reference(ctx, times):
+    for t in times:
+        assert context_at(ctx, t) == reference_context_at(ctx, t)
+
+
+@given(_context_streams())
+def test_window_context_matches_reference(ctx):
+    rr = [RRSample(t, 800.0) for t in range(0, 600001, 4000)]
+    windows = window_features(rr, [], ctx, Baseline.provisional(), 120, 60)
+    assert len(windows) == 9
+    for w in windows:
+        assert w.context == reference_context_at(ctx, w.window_end)
+
+
+class _CountingList(list):
+    """A list that counts the items read through indexing and iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_window_features_reads_context_linearly():
+    rr = [RRSample(t, 800.0) for t in range(0, 6 * 3600001, 30000)]
+    ctx = _CountingList(ContextSample(t, (t // 21600) % 5 != 0, _SED)
+                        for t in range(0, 6 * 3600000, 21600))
+    windows = window_features(rr, [], ctx, Baseline.provisional(), 120, 60)
+    assert len(ctx) == 1000 and len(windows) == 359
+    assert 0 < ctx.reads <= 2 * len(ctx) + len(windows)

@@ -78,6 +78,23 @@ def test_plan_length_bounded_by_seven_days():
     assert SessionPlan((SessionBlock(BlockKind.WORK, MAX_SESSION_MIN),)).blocks
 
 
+def test_seven_day_plan_cuts_last_block_at_limit():
+    bounds = {BlockKind.WORK: (WORK_BLOCK_MIN, WORK_BLOCK_MAX),
+              BlockKind.BREAK: (BREAK_BLOCK_MIN, BREAK_BLOCK_MAX)}
+    for seed in range(50):
+        plan = default_plan(random.Random(seed), total_minutes=MAX_SESSION_MIN)
+        # Exact: the cut block ends on the limit, not an ulp above it.
+        assert plan.total_minutes == MAX_SESSION_MIN, seed
+        *full, last = plan.blocks
+        for block in full:
+            low, high = bounds[block.kind]
+            assert low <= block.minutes <= high, seed
+        assert 0 < last.minutes <= bounds[last.kind][1], seed
+    for minutes in (10035.0, 10050.5, 10079.9):
+        plan = default_plan(random.Random(1), total_minutes=minutes)
+        assert minutes <= plan.total_minutes <= MAX_SESSION_MIN
+
+
 def test_plan_block_lookup():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),
                         SessionBlock(BlockKind.BREAK, 10.0)))
