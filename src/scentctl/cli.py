@@ -21,6 +21,7 @@ from .config import Config, ConfigError, load_config
 from .estimator import InteractionState
 from .ingest import (
     InsufficientDataError,
+    Series,
     StreamFormatError,
     parse_context_stream,
     parse_hr_stream,
@@ -171,7 +172,7 @@ def _parse_script(text: str) -> EpisodeScript:
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _load(args)
     rr = parse_rr_stream(_read_text(args.rr))
-    hr = parse_hr_stream(_read_text(args.hr)) if args.hr else []
+    hr = parse_hr_stream(_read_text(args.hr)) if args.hr else Series((), ())
     context = parse_context_stream(_read_text(args.context)) if args.context else []
     traces = Traces(rr, hr, context)
 
@@ -205,8 +206,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     (out_dir / "context.csv").write_text(
         render_context_csv(traces.context), encoding="utf-8")
     _write_outputs(out_dir, log, summary)
-    plan_text = ",".join(f"{b.kind.value}:{b.minutes:g}" for b in plan.blocks)
-    print(f"plan: {plan_text}")
+    work = sum(b.minutes for b in plan.blocks if b.kind is BlockKind.WORK)
+    print(f"plan: {len(plan.blocks)} blocks, {plan.total_minutes:g} min "
+          f"(work {work:g}, break {plan.total_minutes - work:g})")
     print(f"wrote traces, events, and summary to {out_dir} "
           f"({summary.releases} releases, {summary.violations} violations)")
     return EXIT_OK

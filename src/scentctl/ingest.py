@@ -5,8 +5,9 @@ CSV, are artifact-filtered, and are reduced to windowed time-domain
 features (RMSSD, SDNN, mean HR) expressed as baseline-normalized
 deviations, together with the contextual flags the classifier needs.
 
-All timestamps are integer milliseconds since session start. Everything
-here is a pure function over immutable samples, safe from any thread.
+All timestamps are integer milliseconds since session start. RR and HR
+are `Series` of immutable columns, with no object per sample. Everything
+here is a pure function over immutable data, safe from any thread.
 
 Ingest is linear in its input. Parsing is one pass over the lines, in
 which ordinary rows take a cheap path. `window_features` builds its
@@ -20,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
+from itertools import compress, pairwise
 from statistics import fmean
 from typing import Callable, Sequence
 
@@ -68,15 +69,18 @@ class ActivityState(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class RRSample:
-    timestamp: int
-    rr: float  # inter-beat interval, ms
+class Series:
+    """An RR (ms) or HR (bpm) stream as two equal-length columns."""
 
+    timestamps: tuple[int, ...]
+    values: tuple[float, ...]
 
-@dataclass(frozen=True, slots=True)
-class HRSample:
-    timestamp: int
-    hr: float  # beats per minute
+    def __post_init__(self) -> None:
+        if len(self.timestamps) != len(self.values):
+            raise ValueError("timestamps and values differ in length")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,12 +162,13 @@ def _looks_numeric(text: str) -> bool:
     return True
 
 
-def parse_samples(stream: str, schema: str = "rr") -> list:
+def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSample]:
     """Parse a line-oriented CSV sample stream.
 
-    Schemas: ``rr`` (`timestamp_ms,rr_ms`), ``hr`` (`timestamp_ms,hr_bpm`),
-    ``context`` (`timestamp_ms,session_active,activity_state`). A header
-    line is optional and detected by a non-numeric first field.
+    Schemas: ``rr`` (`timestamp_ms,rr_ms`) and ``hr`` (`timestamp_ms,hr_bpm`)
+    give a `Series`, ``context`` (`timestamp_ms,session_active,activity_state`)
+    a `ContextSample` list. A header line is optional and detected by a
+    non-numeric first field.
 
     Timestamps must be non-decreasing; rows sharing a timestamp collapse
     to the last value. Raises StreamFormatError (with the offending line
@@ -172,13 +177,14 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
     """
     if schema not in ("rr", "hr", "context"):
         raise ValueError(f"unknown stream schema {schema!r}")
-    n_fields = 3 if schema == "context" else 2
-    make = {"rr": RRSample, "hr": HRSample}.get(schema)
+    columns = schema != "context"
+    n_fields = 2 if columns else 3
 
-    samples: list = []
+    timestamps: list[int] = []
+    values: list = []  # floats, or ContextSample rows for ``context``
     prev_ts = -1  # below every valid timestamp
     for line_no, raw in enumerate(stream.splitlines(), start=1):
-        if make is not None:
+        if columns:
             # The common row: two numbers, a later timestamp, a positive
             # value. int() and float() strip the same whitespace as
             # str.strip(), so it gives the checked path's sample; every
@@ -190,14 +196,15 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
                 pass
             else:
                 if ts > prev_ts and value > 0:
-                    samples.append(make(ts, value))
+                    timestamps.append(ts)
+                    values.append(value)
                     prev_ts = ts
                     continue
         line = raw.strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if not samples and not _looks_numeric(fields[0]):
+        if not values and not _looks_numeric(fields[0]):
             continue  # optional header
         if len(fields) != n_fields:
             raise StreamFormatError(
@@ -210,7 +217,7 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
         if ts < 0:
             raise StreamFormatError("negative timestamp", line_no)
 
-        if make is not None:
+        if columns:
             try:
                 value = float(fields[1])
             except ValueError:
@@ -218,7 +225,6 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
                     f"bad {schema} value {fields[1]!r}", line_no) from None
             if not value > 0:
                 raise StreamFormatError(f"{schema} must be positive", line_no)
-            sample: object = make(ts, value)
         else:
             active = _parse_bool(fields[1], line_no)
             try:
@@ -226,27 +232,28 @@ def parse_samples(stream: str, schema: str = "rr") -> list:
             except ValueError:
                 raise StreamFormatError(
                     f"bad activity state {fields[2]!r}", line_no) from None
-            sample = ContextSample(ts, active, activity)
+            value = ContextSample(ts, active, activity)
 
         if ts < prev_ts:
             raise StreamFormatError(
                 f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
         if ts == prev_ts:
-            samples[-1] = sample  # duplicate timestamp: last value wins
+            values[-1] = value  # duplicate timestamp: last value wins
         else:
-            samples.append(sample)
+            timestamps.append(ts)
+            values.append(value)
         prev_ts = ts
 
-    if not samples:
+    if not values:
         raise StreamFormatError("empty stream")
-    return samples
+    return Series(tuple(timestamps), tuple(values)) if columns else values
 
 
-def parse_rr_stream(stream: str) -> list[RRSample]:
+def parse_rr_stream(stream: str) -> Series:
     return parse_samples(stream, "rr")
 
 
-def parse_hr_stream(stream: str) -> list[HRSample]:
+def parse_hr_stream(stream: str) -> Series:
     return parse_samples(stream, "hr")
 
 
@@ -254,16 +261,14 @@ def parse_context_stream(stream: str) -> list[ContextSample]:
     return parse_samples(stream, "context")
 
 
-def render_rr_csv(samples: Sequence[RRSample]) -> str:
-    lines = ["timestamp_ms,rr_ms"]
-    lines += [f"{s.timestamp},{s.rr:.3f}" for s in samples]
-    return "\n".join(lines) + "\n"
+def render_rr_csv(samples: Series) -> str:
+    return "timestamp_ms,rr_ms\n" + "".join(
+        f"{t},{v:.3f}\n" for t, v in zip(samples.timestamps, samples.values))
 
 
-def render_hr_csv(samples: Sequence[HRSample]) -> str:
-    lines = ["timestamp_ms,hr_bpm"]
-    lines += [f"{s.timestamp},{s.hr:.3f}" for s in samples]
-    return "\n".join(lines) + "\n"
+def render_hr_csv(samples: Series) -> str:
+    return "timestamp_ms,hr_bpm\n" + "".join(
+        f"{t},{v:.3f}\n" for t, v in zip(samples.timestamps, samples.values))
 
 
 def render_context_csv(samples: Sequence[ContextSample]) -> str:
@@ -273,7 +278,12 @@ def render_context_csv(samples: Sequence[ContextSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reject_artifacts(samples: Sequence[RRSample]) -> list[RRSample]:
+def _select(samples: Series, keep: list[bool]) -> Series:
+    return Series(tuple(compress(samples.timestamps, keep)),
+                  tuple(compress(samples.values, keep)))
+
+
+def reject_artifacts(samples: Series) -> Series:
     """Drop implausible inter-beat intervals, preserving order.
 
     A sample is rejected when its value falls outside [300, 2000] ms or
@@ -281,19 +291,20 @@ def reject_artifacts(samples: Sequence[RRSample]) -> list[RRSample]:
     filter is idempotent; an empty result is a signal to the caller, not
     an error.
     """
-    kept: list[RRSample] = []
-    for s in samples:
-        if not (RR_MIN_MS <= s.rr <= RR_MAX_MS):
-            continue
-        if kept and abs(s.rr - kept[-1].rr) > RR_MAX_REL_CHANGE * kept[-1].rr:
-            continue
-        kept.append(s)
-    return kept
+    keep: list[bool] = []
+    last = None
+    for v in samples.values:
+        ok = (RR_MIN_MS <= v <= RR_MAX_MS
+              and (last is None or abs(v - last) <= RR_MAX_REL_CHANGE * last))
+        if ok:
+            last = v
+        keep.append(ok)
+    return _select(samples, keep)
 
 
-def clean_hr(samples: Sequence[HRSample]) -> list[HRSample]:
+def clean_hr(samples: Series) -> Series:
     """Drop heart-rate samples outside the [20, 250] bpm plausibility range."""
-    return [s for s in samples if HR_MIN_BPM <= s.hr <= HR_MAX_BPM]
+    return _select(samples, [HR_MIN_BPM <= v <= HR_MAX_BPM for v in samples.values])
 
 
 def _std(xs: Sequence[float], ddof: int = 0) -> float:
@@ -395,8 +406,8 @@ def context_at(samples: Sequence[ContextSample], t: int) -> ContextFlags:
 
 
 def window_features(
-    rr: Sequence[RRSample],
-    hr: Sequence[HRSample],
+    rr: Series,
+    hr: Series,
     context: Sequence[ContextSample],
     baseline: Baseline,
     window_len_s: float = DEFAULT_WINDOW_LEN_S,
@@ -414,10 +425,8 @@ def window_features(
     if stride_s <= 0:
         raise ValueError("stride_s must be positive")
 
-    rr_ts = [s.timestamp for s in rr]
-    rr_v = [s.rr for s in rr]
-    hr_ts = [s.timestamp for s in hr]
-    hr_v = [s.hr for s in hr]
+    rr_ts, rr_v = rr.timestamps, rr.values
+    hr_ts, hr_v = hr.timestamps, hr.values
 
     ends = [a[-1] for a in (rr_ts, hr_ts) if a]
     if not ends:

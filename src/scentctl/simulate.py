@@ -34,8 +34,7 @@ from .ingest import (
     ActivityState,
     Baseline,
     ContextSample,
-    HRSample,
-    RRSample,
+    Series,
     clean_hr,
     compute_baseline,
     reject_artifacts,
@@ -189,8 +188,8 @@ class SimulatorConfig:
 
 @dataclass(slots=True)
 class Traces:
-    rr: list[RRSample]
-    hr: list[HRSample]
+    rr: Series
+    hr: Series
     context: list[ContextSample]
 
 
@@ -253,7 +252,8 @@ def generate_session(
     rng = random.Random(seed)
     total_ms = round(plan.total_minutes * 60000)
 
-    rr: list[RRSample] = []
+    rr_ts: list[int] = []
+    rr_v: list[float] = []
     t = 0.0
     while True:
         mean, jitter = _episode_effect(t / 60000.0, script, sim)
@@ -262,14 +262,12 @@ def generate_session(
         t += beat
         if t > total_ms:
             break
-        rr.append(RRSample(int(round(t)), round(beat, 3)))
+        rr_ts.append(int(round(t)))
+        rr_v.append(round(beat, 3))
 
-    hr: list[HRSample] = []
-    cadence_ms = round(sim.hr_cadence_s * 1000)
-    for ts in range(0, total_ms + 1, cadence_ms):
-        mean, _ = _episode_effect(ts / 60000.0, script, sim)
-        value = 60000.0 / mean + rng.gauss(0.0, sim.hr_noise_bpm)
-        hr.append(HRSample(ts, round(value, 3)))
+    hr_ts = range(0, total_ms + 1, round(sim.hr_cadence_s * 1000))
+    hr_v = [round(60000.0 / _episode_effect(ts / 60000.0, script, sim)[0]
+                  + rng.gauss(0.0, sim.hr_noise_bpm), 3) for ts in hr_ts]
 
     context: list[ContextSample] = []
     ctx_ms = round(sim.context_cadence_s * 1000)
@@ -280,7 +278,8 @@ def generate_session(
             ts, working,
             ActivityState.SEDENTARY if working else ActivityState.ACTIVE))
 
-    return Traces(rr, hr, context)
+    return Traces(Series(tuple(rr_ts), tuple(rr_v)),
+                  Series(tuple(hr_ts), tuple(hr_v)), context)
 
 
 @dataclass(frozen=True, slots=True)

@@ -165,6 +165,15 @@ def test_cli_synth_writes_everything(tmp_path, capsys):
     assert "plan:" in capsys.readouterr().out
 
 
+def test_cli_synth_seven_day_plan_line_is_bounded(tmp_path, capsys):
+    code = main(["synth", "--seed", "4", "--duration-min", "10080",
+                 "--out", str(tmp_path / "week")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("plan: ") and "10080 min" in lines[0]
+    assert all(len(line.encode()) < 200 for line in lines), lines
+
+
 def test_cli_synth_deterministic(tmp_path):
     _, out_a = _synth(tmp_path, "a")
     _, out_b = _synth(tmp_path, "b")
@@ -254,6 +263,15 @@ def test_cli_replay_round_trip(tmp_path):
     # synthetic and re-ingested traces produce the identical event log
     assert ((out / "events.ndjson").read_bytes()
             == (replay_out / "events.ndjson").read_bytes())
+
+
+def test_cli_replay_rr_only(tmp_path, capsys):
+    _, out = _synth(tmp_path, "source")
+    code = main(["replay", "--rr", str(out / "rr.csv"),
+                 "--out", str(tmp_path / "replayed")])
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads((tmp_path / "replayed" / "summary.json").read_text())
+    assert summary["violations"] == 0
 
 
 def test_cli_replay_malformed_csv_exit_2(tmp_path, capsys):

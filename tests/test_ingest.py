@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import gc
 import math
 import random
 
@@ -15,9 +16,8 @@ from scentctl.ingest import (
     ContextFlags,
     ContextSample,
     FeatureWindow,
-    HRSample,
     InsufficientDataError,
-    RRSample,
+    Series,
     StreamFormatError,
     clean_hr,
     compute_baseline,
@@ -30,6 +30,7 @@ from scentctl.ingest import (
     parse_samples,
     reject_artifacts,
     render_context_csv,
+    render_hr_csv,
     render_rr_csv,
     window_features,
 )
@@ -48,18 +49,36 @@ def brute_sdnn(rr: list[float]) -> float:
 
 
 def _rr(values, start=0, step=800):
-    return [RRSample(start + i * step, v) for i, v in enumerate(values)]
+    return Series(tuple(range(start, start + len(values) * step, step)),
+                  tuple(values))
+
+
+def _series(pairs):
+    pairs = list(pairs)
+    return Series(tuple(t for t, _ in pairs), tuple(v for _, v in pairs))
+
+
+def test_series_rejects_unequal_columns():
+    with pytest.raises(ValueError, match="differ in length"):
+        Series((0, 800), (800.0,))
+    with pytest.raises(ValueError):
+        Series((), (800.0,))
+
+
+def test_series_len_is_row_count():
+    assert len(Series((), ())) == 0
+    assert len(_rr([800.0, 810.0, 790.0])) == 3
+    assert len(parse_rr_stream("ts,rr\n0,800\n800,810\n800,805")) == 2
 
 
 # -- parsing ----------------------------------------------------------------
 
 def test_parse_rr_basic():
-    assert parse_rr_stream("0,800\n800,810") == [RRSample(0, 800.0),
-                                                 RRSample(800, 810.0)]
+    assert parse_rr_stream("0,800\n800,810") == Series((0, 800), (800.0, 810.0))
 
 
 def test_parse_duplicate_timestamp_keeps_last():
-    assert parse_rr_stream("0,800\n0,790") == [RRSample(0, 790.0)]
+    assert parse_rr_stream("0,800\n0,790") == Series((0,), (790.0,))
 
 
 def test_parse_malformed_line_reports_number():
@@ -98,11 +117,11 @@ def test_parse_empty_stream_rejected():
 
 
 def test_parse_optional_header_detected():
-    assert parse_rr_stream("timestamp_ms,rr_ms\n0,800") == [RRSample(0, 800.0)]
+    assert parse_rr_stream("timestamp_ms,rr_ms\n0,800") == Series((0,), (800.0,))
 
 
 def test_parse_hr_and_context_schemas():
-    assert parse_hr_stream("0,72.5") == [HRSample(0, 72.5)]
+    assert parse_hr_stream("0,72.5") == Series((0,), (72.5,))
     ctx = parse_context_stream(
         "timestamp_ms,session_active,activity_state\n0,1,sedentary\n60000,false,active")
     assert ctx == [
@@ -122,22 +141,46 @@ def test_parse_unknown_schema():
 
 
 def test_render_round_trip():
-    samples = [RRSample(0, 800.0), RRSample(805, 805.25)]
+    samples = Series((0, 805), (800.0, 805.25))
     assert parse_rr_stream(render_rr_csv(samples)) == samples
+    hr = Series((0, 1000), (72.5, 71.125))
+    assert render_hr_csv(hr) == "timestamp_ms,hr_bpm\n0,72.500\n1000,71.125\n"
+    assert parse_hr_stream(render_hr_csv(hr)) == hr
     ctx = [ContextSample(0, True, ActivityState.SEDENTARY)]
     assert parse_context_stream(render_context_csv(ctx)) == ctx
+
+
+def test_parse_and_filter_build_no_per_sample_objects():
+    rr_text = "timestamp_ms,rr_ms\n" + "".join(
+        f"{i * 800},{800 + i % 7}.25\n" for i in range(50_000))
+    hr_text = "".join(f"{i * 1000},{70 + i % 5}.5\n" for i in range(50_000))
+    gc.collect()
+    before = len(gc.get_objects())
+    rr = reject_artifacts(parse_rr_stream(rr_text))
+    hr = clean_hr(parse_hr_stream(hr_text))
+    grown = len(gc.get_objects()) - before
+    assert len(rr) == 50_000 and len(hr) == 50_000
+    assert grown < 1_000, grown
 
 
 # -- artifact rejection -----------------------------------------------------
 
 def test_reject_out_of_range():
     out = reject_artifacts(_rr([800, 810, 2500, 805]))
-    assert [s.rr for s in out] == [800, 810, 805]
+    assert out == Series((0, 800, 2400), (800, 810, 805))
 
 
 def test_reject_successive_jump():
     out = reject_artifacts(_rr([800, 1200, 810]))
-    assert [s.rr for s in out] == [800, 810]
+    assert out == Series((0, 1600), (800, 810))
+
+
+def test_reject_boundaries_inclusive():
+    # a change of exactly 20 % and the range ends 300 and 2000 ms are kept
+    assert reject_artifacts(_rr([800, 960, 1152])) == _rr([800, 960, 1152])
+    assert reject_artifacts(_rr([800, 960.001])) == _rr([800])
+    for edge in (300.0, 2000.0):
+        assert reject_artifacts(_rr([edge])) == _rr([edge])
 
 
 def test_reject_identity_on_clean_data():
@@ -146,12 +189,12 @@ def test_reject_identity_on_clean_data():
 
 
 def test_reject_all_rejected_yields_empty():
-    assert reject_artifacts(_rr([2500, 2600])) == []
+    assert reject_artifacts(_rr([2500, 2600])) == Series((), ())
 
 
 def test_clean_hr_range():
-    samples = [HRSample(0, 72.0), HRSample(1000, 300.0), HRSample(2000, 10.0)]
-    assert clean_hr(samples) == [HRSample(0, 72.0)]
+    samples = Series((0, 1000, 2000, 3000, 4000), (72.0, 300.0, 10.0, 20.0, 250.0))
+    assert clean_hr(samples) == Series((0, 3000, 4000), (72.0, 20.0, 250.0))
 
 
 @given(st.lists(st.floats(min_value=200, max_value=2500), min_size=1, max_size=60))
@@ -289,15 +332,15 @@ def test_context_defaults_without_stream():
 def _alternating_trace(minutes=6.0, lo=800.0, hi=810.0):
     rr, t, flip = [], 0, False
     while t <= minutes * 60000:
-        rr.append(RRSample(t, hi if flip else lo))
+        rr.append((t, hi if flip else lo))
         flip = not flip
         t += 805
-    return rr
+    return _series(rr)
 
 
 def test_window_count_five_minute_trace():
-    rr = [RRSample(t, 800.0) for t in range(0, 300001, 800)]
-    hr = [HRSample(t, 75.0) for t in range(0, 300001, 1000)]
+    rr = _series((t, 800.0) for t in range(0, 300001, 800))
+    hr = _series((t, 75.0) for t in range(0, 300001, 1000))
     windows = window_features(rr, hr, [], Baseline.provisional(), 120, 60)
     assert len(windows) == 4
     assert [(w.window_start, w.window_end) for w in windows] == [
@@ -306,7 +349,7 @@ def test_window_count_five_minute_trace():
 
 def test_window_z_identity_at_baseline():
     rr = _alternating_trace()
-    hr = [HRSample(t, 74.534) for t in range(0, 6 * 60000, 1000)]
+    hr = _series((t, 74.534) for t in range(0, 6 * 60000, 1000))
     probe = window_features(rr, hr, [], Baseline.provisional(), 120, 60)[0]
     baseline = Baseline(probe.mean_hr, probe.rmssd, probe.sdnn, 3.0, 5.0, 5.0)
     windows = window_features(rr, hr, [], baseline, 120, 60)
@@ -317,19 +360,19 @@ def test_window_z_identity_at_baseline():
 
 
 def test_window_unit_deviation():
-    rr = [RRSample(t, 800.0) for t in range(0, 300001, 800)]
+    rr = _series((t, 800.0) for t in range(0, 300001, 800))
     baseline = Baseline(72.0, 10.0, 5.0, 3.0, 5.0, 5.0)
-    hr = [HRSample(t, baseline.mean_hr + baseline.hr_scale)
-          for t in range(0, 300001, 1000)]
+    hr = _series((t, baseline.mean_hr + baseline.hr_scale)
+                 for t in range(0, 300001, 1000))
     windows = window_features(rr, hr, [], baseline, 120, 60)
     assert all(w.z_hr == pytest.approx(1.0) for w in windows)
 
 
 def test_window_skips_sparse_and_derives_hr_from_rr():
     # one lonely beat in the first two minutes: those windows are skipped
-    rr = [RRSample(0, 800.0)] + [RRSample(t, 800.0)
-                                 for t in range(120000, 300001, 800)]
-    windows = window_features(rr, [], [], Baseline.provisional(), 120, 60)
+    rr = _series([(0, 800.0)] + [(t, 800.0) for t in range(120000, 300001, 800)])
+    windows = window_features(rr, Series((), ()), [], Baseline.provisional(),
+                              120, 60)
     starts = [w.window_start for w in windows]
     assert 0 not in starts
     assert all(w.mean_hr == pytest.approx(75.0) for w in windows)
@@ -337,7 +380,8 @@ def test_window_skips_sparse_and_derives_hr_from_rr():
 
 def test_window_len_floor_enforced():
     with pytest.raises(ValueError):
-        window_features([], [], [], Baseline.provisional(), 30, 30)
+        window_features(Series((), ()), Series((), ()), [],
+                        Baseline.provisional(), 30, 30)
 
 
 def test_window_features_all_finite_random():
@@ -346,9 +390,9 @@ def test_window_features_all_finite_random():
     while t < 600000:
         beat = rng.uniform(400, 1500)
         t += int(beat)
-        rr.append(RRSample(t, beat))
-    windows = window_features(reject_artifacts(rr), [], [],
-                              Baseline.provisional(), 120, 60)
+        rr.append((t, beat))
+    windows = window_features(reject_artifacts(_series(rr)), Series((), ()),
+                              [], Baseline.provisional(), 120, 60)
     for w in windows:
         for value in (w.rmssd, w.sdnn, w.mean_hr, w.z_hr, w.z_rmssd, w.z_sdnn):
             assert math.isfinite(value)
@@ -359,8 +403,10 @@ def test_window_features_all_finite_random():
 #
 # The references below are verbatim copies of the line-by-line
 # `parse_samples` and the per-call `context_at` that the cheap parse path
-# and the one-pass context lookup replaced. The new code must agree with
-# them on every input (differential testing: McKeeman 1998, Digital
+# and the one-pass context lookup replaced; the parse reference yields
+# (timestamp, value) pairs where it built one RR/HR object per row, and is
+# compared with the zipped columns of a `Series`. The new code must agree
+# with them on every input (differential testing: McKeeman 1998, Digital
 # Technical Journal 10(1)).
 
 _REF_TRUE_WORDS = {"1", "true", "yes"}
@@ -418,7 +464,7 @@ def reference_parse_samples(stream: str, schema: str = "rr") -> list:
                     f"bad {schema} value {fields[1]!r}", line_no) from None
             if not value > 0:
                 raise StreamFormatError(f"{schema} must be positive", line_no)
-            sample: object = (RRSample if schema == "rr" else HRSample)(ts, value)
+            sample: object = (ts, value)
         else:
             active = _ref_parse_bool(fields[1], line_no)
             try:
@@ -514,9 +560,12 @@ def _streams(draw):
 
 def _parse_outcome(parse, schema, text):
     try:
-        return repr(parse(text, schema))  # repr: floats compared bit for bit
+        out = parse(text, schema)
     except StreamFormatError as exc:
         return str(exc), exc.line
+    if isinstance(out, Series):
+        out = list(zip(out.timestamps, out.values))
+    return repr(out)  # repr: floats compared bit for bit
 
 
 @settings(max_examples=200)
@@ -561,8 +610,9 @@ def test_context_at_matches_reference(ctx, times):
 
 @given(_context_streams())
 def test_window_context_matches_reference(ctx):
-    rr = [RRSample(t, 800.0) for t in range(0, 600001, 4000)]
-    windows = window_features(rr, [], ctx, Baseline.provisional(), 120, 60)
+    rr = _series((t, 800.0) for t in range(0, 600001, 4000))
+    windows = window_features(rr, Series((), ()), ctx, Baseline.provisional(),
+                              120, 60)
     assert len(windows) == 9
     for w in windows:
         assert w.context == reference_context_at(ctx, w.window_end)
@@ -585,9 +635,10 @@ class _CountingList(list):
 
 
 def test_window_features_reads_context_linearly():
-    rr = [RRSample(t, 800.0) for t in range(0, 6 * 3600001, 30000)]
+    rr = _series((t, 800.0) for t in range(0, 6 * 3600001, 30000))
     ctx = _CountingList(ContextSample(t, (t // 21600) % 5 != 0, _SED)
                         for t in range(0, 6 * 3600000, 21600))
-    windows = window_features(rr, [], ctx, Baseline.provisional(), 120, 60)
+    windows = window_features(rr, Series((), ()), ctx, Baseline.provisional(),
+                              120, 60)
     assert len(ctx) == 1000 and len(windows) == 359
     assert 0 < ctx.reads <= 2 * len(ctx) + len(windows)

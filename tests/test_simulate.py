@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from scentctl.config import default_config
 from scentctl.estimator import InteractionState
+from scentctl.ingest import Series
 from scentctl.scents import PROFILE_MEMBERS, Profile
 from scentctl.simulate import (
     BREAK_BLOCK_MAX,
@@ -147,8 +149,10 @@ def test_generation_deterministic():
 
 def test_generation_timestamps_strictly_increase():
     traces, _ = _session(5, 20.0, [])
-    for prev, nxt in zip(traces.rr, traces.rr[1:]):
-        assert nxt.timestamp > prev.timestamp
+    ts = traces.rr.timestamps
+    assert len(ts) > 1000
+    for prev, nxt in zip(ts, ts[1:]):
+        assert nxt > prev
 
 
 def test_context_follows_plan():
@@ -256,11 +260,13 @@ def test_replay_short_trace_insufficient_calibration():
     from scentctl.ingest import InsufficientDataError
 
     traces, _ = _session(0, 20.0, [])
-    truncated = dataclasses.replace(
-        traces,
-        rr=[s for s in traces.rr if s.timestamp < 200000],
-        hr=[s for s in traces.hr if s.timestamp < 200000],
-    )
+
+    def head(series):
+        n = bisect.bisect_left(series.timestamps, 200000)
+        return Series(series.timestamps[:n], series.values[:n])
+
+    truncated = dataclasses.replace(traces, rr=head(traces.rr), hr=head(traces.hr))
+    assert 0 < len(truncated.rr) < len(traces.rr)
     with pytest.raises(InsufficientDataError):
         replay(truncated, CFG)
 
