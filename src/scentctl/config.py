@@ -85,18 +85,8 @@ def default_config() -> Config:
 _KNOWN_SECTIONS = ("general", "ingest", "estimator", "scheduler",
                    "scent", "ir", "simulator")
 
-_DUTY_KEYS = {
-    "duty_low": Intensity.LOW,
-    "duty_low_medium": Intensity.LOW_MEDIUM,
-    "duty_medium": Intensity.MEDIUM,
-    "duty_medium_high": Intensity.MEDIUM_HIGH,
-}
-
-_BURST_KEYS = {
-    "burst_single_brief_s": Rhythm.SINGLE_BRIEF,
-    "burst_repeated_low_frequency_s": Rhythm.REPEATED_LOW_FREQUENCY,
-    "burst_brief_repeat_if_needed_s": Rhythm.BRIEF_REPEAT_IF_NEEDED,
-}
+_DUTY_KEYS = {f"duty_{level.value}": level for level in Intensity}
+_BURST_KEYS = {f"burst_{rhythm.value}_s": rhythm for rhythm in Rhythm}
 
 
 def _to_float(section: str, key: str, raw: str) -> float:

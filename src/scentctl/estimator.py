@@ -9,7 +9,9 @@ can replace it without touching the zone rules downstream.
 
 Classification discretizes the smoothed coordinate into six interaction
 states using rectangular zone thresholds plus persistence and recovery
-timing tracked across evaluations.
+timing. Only the stress zone has timing, so the state carried across
+evaluations is when the current stress run began and when the last one
+ended; the other rules re-test their thresholds on each point.
 """
 
 from __future__ import annotations
@@ -83,21 +85,16 @@ class InteractionState(str, Enum):
     NEUTRAL = "neutral"
 
 
-class Zone(str, Enum):
-    """Coarse region of the arousal–valence plane, by geometry alone."""
-
-    STRESS = "stress"
-    FATIGUE = "fatigue"
-    MILD = "mild"
-    NEUTRAL = "neutral"
-
-
 @dataclass(slots=True)
 class PersistenceTracker:
-    """Zone residency bookkeeping; single-writer, owned by the control loop."""
+    """Stress-zone timing; single-writer, owned by the control loop.
 
-    current_zone: Zone = Zone.NEUTRAL
-    zone_entered_at: int = 0
+    ``stress_since`` is the instant the current stress run began (None
+    outside the stress zone); ``last_stress_exit_at`` is the instant the
+    latest run ended.
+    """
+
+    stress_since: int | None = None
     last_stress_exit_at: int | None = None
 
 
@@ -132,16 +129,6 @@ def smooth_av(prev: AVState, new: AVState, alpha: float) -> AVState:
     )
 
 
-def _zone_of(av: AVState, cfg: EstimatorConfig) -> Zone:
-    if av.arousal >= cfg.theta_a and av.valence <= -cfg.theta_v:
-        return Zone.STRESS
-    if av.arousal <= -cfg.theta_a:
-        return Zone.FATIGUE
-    if av.valence <= -cfg.theta_mild:
-        return Zone.MILD
-    return Zone.NEUTRAL
-
-
 def classify(
     av: AVState,
     context: ContextFlags,
@@ -155,18 +142,16 @@ def classify(
     tracker is updated in place and returned for convenience.
     """
     now = av.timestamp
-    zone = _zone_of(av, cfg)
-    if zone is not tracker.current_zone:
-        if tracker.current_zone is Zone.STRESS:
-            tracker.last_stress_exit_at = now
-        tracker.current_zone = zone
-        tracker.zone_entered_at = now
-
-    if zone is Zone.STRESS:
-        in_zone_s = (now - tracker.zone_entered_at) / 1000.0
+    if av.arousal >= cfg.theta_a and av.valence <= -cfg.theta_v:
+        if tracker.stress_since is None:
+            tracker.stress_since = now
+        in_zone_s = (now - tracker.stress_since) / 1000.0
         if in_zone_s >= cfg.persistence_threshold_s:
             return InteractionState.ELEVATED_STRESS_PERSISTENT, tracker
         return InteractionState.ELEVATED_STRESS_SHORT, tracker
+    if tracker.stress_since is not None:
+        tracker.last_stress_exit_at = now
+        tracker.stress_since = None
 
     if (av.arousal <= -cfg.theta_a
             and context.work_minutes_continuous >= cfg.low_alertness_work_minutes):

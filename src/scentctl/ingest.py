@@ -279,6 +279,8 @@ def render_context_csv(samples: Sequence[ContextSample]) -> str:
 
 
 def _select(samples: Series, keep: list[bool]) -> Series:
+    if all(keep):
+        return samples  # immutable, so sharing it is safe
     return Series(tuple(compress(samples.timestamps, keep)),
                   tuple(compress(samples.values, keep)))
 

@@ -156,17 +156,6 @@ class IRFrame:
         """One `mark_us,space_us` line per pulse pair, for external replay."""
         return "\n".join(f"{m},{s}" for m, s in self.pulses) + "\n"
 
-    @classmethod
-    def parse_lines(cls, text: str) -> "IRFrame":
-        pulses = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            mark, space = (int(part) for part in line.split(","))
-            pulses.append((mark, space))
-        return cls(tuple(pulses))
-
 
 def encode_frame(cmd: DeviceCommand, table: IRCodeTable) -> IRFrame:
     """Encode a command as a 34-pair pulse frame, MSB first."""

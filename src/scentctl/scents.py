@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .estimator import InteractionState
 
@@ -51,8 +51,6 @@ _VOCABULARY_ROWS: tuple[tuple[str, str, str, str, str], ...] = (
      "Bright meadow / citrus field edge", "Energizing / Pleasantness"),
 )
 
-SCENT_KEYS: tuple[str, ...] = tuple(row[0] for row in _VOCABULARY_ROWS)
-
 
 def vocabulary(channel_overrides: Mapping[str, int] | None = None) -> tuple[Scent, ...]:
     """The eight scent records, with optional per-deployment channels.
@@ -77,17 +75,6 @@ def vocabulary(channel_overrides: Mapping[str, int] | None = None) -> tuple[Scen
         Scent(key, name, family, metaphor, role, channels[key])
         for key, name, family, metaphor, role in _VOCABULARY_ROWS
     )
-
-
-def scent_lookup(name_or_key: str,
-                 scents: Sequence[Scent] | None = None) -> Scent:
-    """Find a scent by key or display name, case-insensitively."""
-    pool = scents if scents is not None else vocabulary()
-    wanted = name_or_key.casefold()
-    for s in pool:
-        if wanted in (s.key.casefold(), s.name.casefold()):
-            return s
-    raise KeyError(f"unknown scent {name_or_key!r}")
 
 
 class Profile(str, Enum):

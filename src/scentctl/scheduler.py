@@ -5,18 +5,21 @@ actuation constraints allow it: a single active channel at any instant,
 an end-anchored minimum interval between releases (boundary inclusive),
 and bounded burst durations. Suppressed requests are dropped rather than
 queued; the only queued follow-ups are rhythm-driven repeats.
+`suppression_reason` is the one source of why a request is refused;
+`request` applies it itself, so no caller can bypass the constraints.
 
-Repeat mechanics: a scheduled release whose rhythm repeats arms one
-pending repeat due at the release end plus the minimum interval. `tick`
-advances the clock and returns the repeat once it is due; the control
-loop then decides whether it fires (a repeated-low-frequency repeat
-fires at any non-neutral instant, a repeat-if-needed one only while its
-causing state still holds) and re-arms via `expand_rhythm` only while
-the cause persists, so repeat chains terminate once the state clears.
+Repeat mechanics: `request` arms the repeat of the release it admits.
+A repeating rhythm whose causing state still holds leaves one pending
+repeat due at the release end plus the minimum interval; any other
+admitted release leaves none. `tick` advances the clock and returns the
+repeat once it is due; the control loop then decides whether it fires
+(a repeated-low-frequency repeat fires at any non-neutral instant, a
+repeat-if-needed one only while its causing state still holds) and
+requests it again, so repeat chains terminate once the state clears.
 
-SchedulerState is single-writer, owned by the control loop: `request`,
-`expand_rhythm` and `tick` update it in place and return only their
-result. Decisions and commands are immutable values.
+SchedulerState is single-writer, owned by the control loop: `request`
+and `tick` update it in place and return only their result. Commands
+are immutable values.
 """
 
 from __future__ import annotations
@@ -117,18 +120,6 @@ class SchedulerState:
     clock: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    """Outcome of a release request; suppression is normal, not an error."""
-
-    command: ReleaseCommand | None
-    reason: str | None = None
-
-    @property
-    def scheduled(self) -> bool:
-        return self.command is not None
-
-
 def suppression_reason(now: int, st: SchedulerState,
                        cfg: SchedulerConfig) -> str | None:
     """Why a request at ``now`` would be suppressed, or None if admissible.
@@ -153,56 +144,37 @@ def request(
     cfg: SchedulerConfig,
     *,
     cause: InteractionState,
-) -> Decision:
+    still_holds: bool,
+) -> ReleaseCommand | None:
     """Request a release at ``now``; schedule it if the constraints allow.
 
-    On success the command's duty comes from the intensity map and its
-    duration from the rhythm map, and the state's last release end is
-    updated. The interval boundary is inclusive: a request exactly
-    min_interval after the previous release end is scheduled.
+    Returns None, leaving the state untouched, when `suppression_reason`
+    refuses it. On success the command's duty comes from the intensity
+    map and its duration from the rhythm map, the last release end is
+    updated, and the pending repeat is armed for a repeating rhythm whose
+    cause ``still_holds``, else cleared. The interval boundary is
+    inclusive: a request exactly min_interval after the previous release
+    end is scheduled.
     """
-    reason = suppression_reason(now, st, cfg)
-    if reason is not None:
-        return Decision(None, reason)
-    duration_s = cfg.burst_duration_s[expr.rhythm]
+    if suppression_reason(now, st, cfg) is not None:
+        return None
     command = ReleaseCommand(
         start=now,
         channel=scent.channel,
         duty=cfg.duty_map[expr.intensity],
-        duration_s=duration_s,
+        duration_s=cfg.burst_duration_s[expr.rhythm],
         cause=cause,
         scent=scent.key,
     )
     st.last_release_end = command.end
-    return Decision(command)
-
-
-def expand_rhythm(
-    expr: ScentExpression,
-    state_still_holds: bool,
-    st: SchedulerState,
-    cfg: SchedulerConfig,
-    *,
-    cause: InteractionState,
-) -> PendingRepeat | None:
-    """Arm the rhythm-driven follow-up for a just-scheduled release.
-
-    Single-brief rhythms never repeat. The repeating rhythms enqueue one
-    pending repeat due at the release end plus the minimum interval;
-    nothing is armed when the causing state no longer holds, which is
-    what terminates repeat chains after the state clears.
-    """
-    if st.last_release_end is None:
-        raise ValueError("expand_rhythm called before any release was scheduled")
-    if expr.rhythm is Rhythm.SINGLE_BRIEF or not state_still_holds:
-        return None
+    repeats = still_holds and expr.rhythm is not Rhythm.SINGLE_BRIEF
     st.pending_repeat = PendingRepeat(
         expr=expr,
         cause=cause,
-        due=st.last_release_end + cfg.min_interval_ms,
+        due=command.end + cfg.min_interval_ms,
         conditional=expr.rhythm is Rhythm.BRIEF_REPEAT_IF_NEEDED,
-    )
-    return st.pending_repeat
+    ) if repeats else None
+    return command
 
 
 def tick(now: int, st: SchedulerState) -> PendingRepeat | None:

@@ -34,6 +34,7 @@ from .ingest import (
     ActivityState,
     Baseline,
     ContextSample,
+    InsufficientDataError,
     Series,
     clean_hr,
     compute_baseline,
@@ -45,7 +46,6 @@ from .scents import SelectionHistory, expression_for, select_scent
 from .scheduler import (
     SchedulerConfig,
     SchedulerState,
-    expand_rhythm,
     request,
     suppression_reason,
     tick,
@@ -315,6 +315,14 @@ def replay(traces: Traces, config: "Config") -> EventLog:
     hr = clean_hr(traces.hr)
     ing = config.ingest
     calib_ms = round(ing.calibration_minutes * 60000)
+    # Every calibration window ends by calib_ms, so no later beat can
+    # calibrate; failing here spares windowing an absolute-time trace.
+    if not rr or rr.timestamps[0] >= calib_ms:
+        found = (f"the first kept RR beat is at {rr.timestamps[0]} ms" if rr
+                 else "no RR beat is kept")
+        raise InsufficientDataError(
+            f"{found}, but baseline calibration needs beats before "
+            f"{calib_ms} ms; timestamps are milliseconds since session start")
 
     provisional = window_features(
         rr, hr, traces.context, Baseline.provisional(),
@@ -351,15 +359,15 @@ def replay(traces: Traces, config: "Config") -> EventLog:
                 profile=expr.profile.value)
             return
         scent = scents_by_key[select_scent(expr, history, rng)]
-        command = request(expr, scent, now, st, sched_cfg, cause=cause).command
-        pending = expand_rhythm(expr, still_holds, st, sched_cfg, cause=cause)
+        command = request(expr, scent, now, st, sched_cfg, cause=cause,
+                          still_holds=still_holds)
         log(now, "decision", outcome="scheduled", state=cause.value,
             profile=expr.profile.value, intensity=expr.intensity.value,
             rhythm=expr.rhythm.value)
         log(now, "release", channel=command.channel, scent=command.scent,
             duty=command.duty, duration_s=command.duration_s,
             start=command.start, end=command.end, cause=cause.value,
-            repeat_due=pending.due if pending is not None else None)
+            repeat_due=None if st.pending_repeat is None else st.pending_repeat.due)
         for ts, device_cmd in command_sequence_for(command):
             log(ts, "ir_command", command=device_cmd.key,
                 code=f"0x{table.code_for(device_cmd):08X}")

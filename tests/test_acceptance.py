@@ -31,7 +31,7 @@ from scentctl.scents import (
     expression_for,
     select_scent,
 )
-from scentctl.scheduler import SchedulerState, expand_rhythm, request, tick
+from scentctl.scheduler import SchedulerState, request, tick
 from scentctl.simulate import (
     BREAK_BLOCK_MAX,
     BREAK_BLOCK_MIN,
@@ -100,10 +100,10 @@ def _drive_session(seed: int) -> list:
 
     def issue(expr, cause, still_holds, now):
         scent = SCENTS[select_scent(expr, history, rng)]
-        decision = request(expr, scent, now, st, CFG.scheduler, cause=cause)
-        if decision.scheduled:
-            commands.append(decision.command)
-            expand_rhythm(expr, still_holds, st, CFG.scheduler, cause=cause)
+        command = request(expr, scent, now, st, CFG.scheduler, cause=cause,
+                          still_holds=still_holds)
+        if command is not None:
+            commands.append(command)
 
     for i in range(480):
         now = i * STRIDE_MS

@@ -134,6 +134,34 @@ def test_scheduler_field_name_is_not_a_key(tmp_path):
         load_config(path)
 
 
+_SCHEDULER_MAP_KEYS = {
+    "duty_low": ("duty_map", Intensity.LOW),
+    "duty_low_medium": ("duty_map", Intensity.LOW_MEDIUM),
+    "duty_medium": ("duty_map", Intensity.MEDIUM),
+    "duty_medium_high": ("duty_map", Intensity.MEDIUM_HIGH),
+    "burst_single_brief_s": ("burst_duration_s", Rhythm.SINGLE_BRIEF),
+    "burst_repeated_low_frequency_s": (
+        "burst_duration_s", Rhythm.REPEATED_LOW_FREQUENCY),
+    "burst_brief_repeat_if_needed_s": (
+        "burst_duration_s", Rhythm.BRIEF_REPEAT_IF_NEEDED),
+}
+
+
+@pytest.mark.parametrize("key", _SCHEDULER_MAP_KEYS)
+def test_scheduler_map_key_sets_only_its_entry(tmp_path, key):
+    field, member = _SCHEDULER_MAP_KEYS[key]
+    value = 0.55 if field == "duty_map" else 5.0
+    path = _write(tmp_path, "one.ini", f"[scheduler]\n{key} = {value}\n")
+    loaded = load_config(path).scheduler
+    defaults = default_config().scheduler
+    expected = dict(getattr(defaults, field))
+    assert expected[member] != value
+    expected[member] = value
+    assert dict(getattr(loaded, field)) == expected
+    other = "burst_duration_s" if field == "duty_map" else "duty_map"
+    assert dict(getattr(loaded, other)) == dict(getattr(defaults, other))
+
+
 def test_default_config_is_self_consistent():
     config = default_config()
     assert {s.channel for s in config.vocabulary} == set(range(1, 9))
@@ -224,13 +252,13 @@ def test_cli_synth_nan_episode_start_exit_3(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-def _cli_subprocess(argv, prelude=""):
+def _cli_subprocess(argv, prelude="", timeout=60):
     """Run ``main(argv)`` in a fresh interpreter; a hang fails at the timeout."""
     env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
     env["PYTHONPATH"] = str(Path(scentctl.__file__).resolve().parents[1])
     code = f"{prelude}from scentctl.cli import main; raise SystemExit(main({argv!r}))"
     return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("plan_args", [
@@ -272,6 +300,18 @@ def test_cli_replay_rr_only(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     summary = json.loads((tmp_path / "replayed" / "summary.json").read_text())
     assert summary["violations"] == 0
+
+
+def test_cli_replay_epoch_ms_trace_exits_2_quickly(tmp_path):
+    # 20 minutes of beats stamped in epoch milliseconds, not session time
+    epoch = 1_760_000_000_000
+    rr = _write(tmp_path, "rr.csv", "".join(
+        f"{epoch + i * 800},800\n" for i in range(1, 1501)))
+    proc = _cli_subprocess(["replay", "--rr", rr, "--out", str(tmp_path / "x")],
+                           timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert f"first kept RR beat is at {epoch + 800} ms" in proc.stderr
+    assert "milliseconds since session start" in proc.stderr
 
 
 def test_cli_replay_malformed_csv_exit_2(tmp_path, capsys):

@@ -7,7 +7,9 @@ repeat-cancelled suppressions), and a replay of that 24 h session under
 ``golden/alt.ini`` (10 s stride, 300 s interval, 120 s repeat horizon).
 Each ``summary.json`` is compared with a committed copy; the larger
 ``events.ndjson`` and synth CSVs are compared through
-``golden/SHA256SUMS``.
+``golden/SHA256SUMS``. The same cases are also run through
+``python -m scentctl.cli`` on every other pyenv CPython 3.1x found under
+``$PYENV_ROOT/versions``, so the outputs are pinned across interpreters.
 
 After an intended output change, re-pin with
 ``PYTHONPATH=src python tests/test_golden.py`` and say in the change
@@ -17,6 +19,9 @@ which records changed and why.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,27 +43,48 @@ CASES = {
                        "--context", f"{{out}}/{SYNTH_24H}/context.csv"],
 }
 HASHED = ("events.ndjson", "rr.csv", "hr.csv", "context.csv")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _argv(case: str, out: Path) -> list[str]:
+    return [arg.replace("{out}", str(out)) for arg in CASES[case]] + [
+        "--out", str(out / case)]
 
 
 def run_cases(out: Path) -> None:
     """Run every case in order, each into ``out/<case>``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(CONFIG_ENV_VAR, raising=False)
-        for case, argv in CASES.items():
-            argv = [arg.replace("{out}", str(out)) for arg in argv]
-            assert main(argv + ["--out", str(out / case)]) == 0, case
+        for case in CASES:
+            assert main(_argv(case, out)) == 0, case
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _expected_sums() -> dict[str, str]:
+def _expected_sums(case: str) -> dict[str, str]:
     sums = {}
     for line in SUMS.read_text(encoding="utf-8").splitlines():
         digest, name = line.split(maxsplit=1)
-        sums[name] = digest
+        if name.startswith(f"{case}/"):
+            sums[name] = digest
     return sums
+
+
+def _actual_sums(out: Path, case: str) -> dict[str, str]:
+    return {f"{case}/{p.name}": _sha256(p)
+            for p in sorted((out / case).iterdir()) if p.name in HASHED}
+
+
+def _other_interpreters() -> list[Path]:
+    """pyenv CPython 3.1x executables other than the running one."""
+    root = os.environ.get("PYENV_ROOT")
+    if not root:
+        return []
+    running = Path(sys.executable).resolve()
+    return [exe for exe in sorted(Path(root).glob("versions/3.1?.*/bin/python3"))
+            if exe.resolve() != running]
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +102,27 @@ def test_summary_matches_golden(outputs, case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_logs_and_traces_match_golden(outputs, case):
-    expected = {name: digest for name, digest in _expected_sums().items()
-                if name.startswith(f"{case}/")}
+    expected = _expected_sums(case)
     assert expected, f"no SHA256SUMS entries for {case}"
-    actual = {f"{case}/{p.name}": _sha256(p)
-              for p in sorted((outputs / case).iterdir()) if p.name in HASHED}
-    assert actual == expected
+    assert _actual_sums(outputs, case) == expected
+
+
+def test_goldens_reproduce_on_other_interpreters(tmp_path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.1x under $PYENV_ROOT/versions")
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC)
+    for exe in interpreters:
+        out = tmp_path / exe.parts[-3]
+        for case in CASES:
+            proc = subprocess.run([str(exe), "-m", "scentctl.cli", *_argv(case, out)],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, (exe, case, proc.stderr)
+            assert ((out / case / "summary.json").read_bytes()
+                    == (GOLDEN / case / "summary.json").read_bytes()), (exe, case)
+            assert _actual_sums(out, case) == _expected_sums(case), (exe, case)
 
 
 if __name__ == "__main__":

