@@ -20,13 +20,15 @@ absent) file is valid. Sections and keys:
                  stress_jitter_drop, fatigue_rr_gain, fatigue_jitter_gain,
                  hr_noise_bpm, hr_cadence_s, context_cadence_s
 
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly. A value may
+carry an inline `;` or `#` comment. One table applies the sections in the
+order above, so a file with several bad sections reports the first.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .estimator import EstimatorConfig
@@ -62,67 +64,99 @@ class IngestConfig:
 
 @dataclass(frozen=True)
 class Config:
-    estimator: EstimatorConfig
-    scheduler: SchedulerConfig
-    ingest: IngestConfig
-    simulator: SimulatorConfig
-    vocabulary: tuple[Scent, ...]
-    ir_table: IRCodeTable
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
+    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
+    ingest: IngestConfig = field(default_factory=IngestConfig)
+    simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
+    vocabulary: tuple[Scent, ...] = field(default_factory=vocabulary)
+    ir_table: IRCodeTable = field(default_factory=IRCodeTable.default)
     seed: int = 0
 
-
-def default_config() -> Config:
-    return Config(
-        estimator=EstimatorConfig(),
-        scheduler=SchedulerConfig(),
-        ingest=IngestConfig(),
-        simulator=SimulatorConfig(),
-        vocabulary=vocabulary(),
-        ir_table=IRCodeTable.default(),
-    )
-
-
-_KNOWN_SECTIONS = ("general", "ingest", "estimator", "scheduler",
-                   "scent", "ir", "simulator")
 
 _DUTY_KEYS = {f"duty_{level.value}": level for level in Intensity}
 _BURST_KEYS = {f"burst_{rhythm.value}_s": rhythm for rhythm in Rhythm}
 
 
-def _to_float(section: str, key: str, raw: str) -> float:
+def _number(key: str, raw: str, kind: type) -> float | int:
     try:
-        return float(raw)
+        return int(raw, 0) if kind is int else float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _to_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-
-def _apply_floats(section: str, items: dict[str, str], base):
+def _fields(base, items):
     """Override dataclass fields by name, rejecting unknown keys."""
     updates = {}
-    for key, raw in items.items():
+    for key, raw in items:
         if key not in base.__dataclass_fields__:
-            raise ConfigError(f"[{section}] unknown key {key!r}")
-        updates[key] = _to_float(section, key, raw)
-    try:
-        return replace(base, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+            raise ValueError(f"unknown key {key!r}")
+        updates[key] = _number(key, raw, float)
+    return replace(base, **updates)
+
+
+def _general(seed: int, items) -> int:
+    for key, raw in items:
+        if key != "seed":
+            raise ValueError(f"unknown key {key!r}")
+        seed = _number(key, raw, int)
+    return seed
+
+
+def _scheduler(base: SchedulerConfig, items) -> SchedulerConfig:
+    duty = dict(base.duty_map)
+    burst = dict(base.burst_duration_s)
+    plain: dict[str, float] = {}
+    for key, raw in items:
+        if key in _DUTY_KEYS:
+            duty[_DUTY_KEYS[key]] = _number(key, raw, float)
+        elif key in _BURST_KEYS:
+            burst[_BURST_KEYS[key]] = _number(key, raw, float)
+        elif key in ("min_interval_s", "max_burst_s", "repeat_check_horizon_s"):
+            plain[key] = _number(key, raw, float)
+        else:
+            raise ValueError(f"unknown key {key!r}")
+    return replace(base, duty_map=duty, burst_duration_s=burst, **plain)
+
+
+def _scent(_current, items) -> tuple[Scent, ...]:
+    overrides: dict[str, int] = {}
+    for key, raw in items:
+        if not key.endswith(".channel"):
+            raise ValueError(f"unknown key {key!r} (expected <scent>.channel)")
+        overrides[key[:-len(".channel")]] = _number(key, raw, int)
+    return vocabulary(overrides)
+
+
+def _ir(table: IRCodeTable, items) -> IRCodeTable:
+    codes: dict[str, int] = {}
+    for key, raw in items:
+        if not key.startswith("codes."):
+            raise ValueError(f"unknown key {key!r} (expected codes.<command>)")
+        codes[key[len("codes."):]] = _number(key, raw, int)
+    return table.with_overrides(codes)
+
+
+# Section -> (Config field, applier). Sections are applied in this order,
+# so it decides which error a file with several bad sections reports.
+_SECTIONS = {
+    "general": ("seed", _general),
+    "ingest": ("ingest", _fields),
+    "estimator": ("estimator", _fields),
+    "scheduler": ("scheduler", _scheduler),
+    "scent": ("vocabulary", _scent),
+    "ir": ("ir_table", _ir),
+    "simulator": ("simulator", _fields),
+}
 
 
 def load_config(path: str | Path | None) -> Config:
     """Load and validate a configuration file; None yields the defaults."""
-    cfg = default_config()
     if path is None:
-        return cfg
+        return Config()
 
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";", "#"))
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))
@@ -130,81 +164,16 @@ def load_config(path: str | Path | None) -> Config:
         raise ConfigError(str(exc)) from None
 
     for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
-    seed = cfg.seed
-    if parser.has_section("general"):
-        for key, raw in parser.items("general"):
-            if key != "seed":
-                raise ConfigError(f"[general] unknown key {key!r}")
-            seed = _to_int("general", key, raw)
-
-    ingest = cfg.ingest
-    if parser.has_section("ingest"):
-        ingest = _apply_floats("ingest", dict(parser.items("ingest")), ingest)
-
-    estimator = cfg.estimator
-    if parser.has_section("estimator"):
-        estimator = _apply_floats(
-            "estimator", dict(parser.items("estimator")), estimator)
-
-    scheduler = cfg.scheduler
-    if parser.has_section("scheduler"):
-        duty = dict(scheduler.duty_map)
-        burst = dict(scheduler.burst_duration_s)
-        plain: dict[str, float] = {}
-        for key, raw in parser.items("scheduler"):
-            if key in _DUTY_KEYS:
-                duty[_DUTY_KEYS[key]] = _to_float("scheduler", key, raw)
-            elif key in _BURST_KEYS:
-                burst[_BURST_KEYS[key]] = _to_float("scheduler", key, raw)
-            elif key in ("min_interval_s", "max_burst_s", "repeat_check_horizon_s"):
-                plain[key] = _to_float("scheduler", key, raw)
-            else:
-                raise ConfigError(f"[scheduler] unknown key {key!r}")
-        try:
-            scheduler = replace(scheduler, duty_map=duty,
-                                burst_duration_s=burst, **plain)
-        except ValueError as exc:
-            raise ConfigError(f"[scheduler] {exc}") from None
-
-    scents = cfg.vocabulary
-    if parser.has_section("scent"):
-        overrides: dict[str, int] = {}
-        for key, raw in parser.items("scent"):
-            if not key.endswith(".channel"):
-                raise ConfigError(f"[scent] unknown key {key!r} "
-                                  "(expected <scent>.channel)")
-            overrides[key[:-len(".channel")]] = _to_int("scent", key, raw)
-        try:
-            scents = vocabulary(overrides)
-        except ValueError as exc:
-            raise ConfigError(f"[scent] {exc}") from None
-
-    ir_table = cfg.ir_table
-    if parser.has_section("ir"):
-        codes: dict[str, int] = {}
-        for key, raw in parser.items("ir"):
-            if not key.startswith("codes."):
-                raise ConfigError(f"[ir] unknown key {key!r} (expected codes.<command>)")
-            codes[key[len("codes."):]] = _to_int("ir", key, raw)
-        try:
-            ir_table = ir_table.with_overrides(codes)
-        except ValueError as exc:
-            raise ConfigError(f"[ir] {exc}") from None
-
-    simulator = cfg.simulator
-    if parser.has_section("simulator"):
-        simulator = _apply_floats(
-            "simulator", dict(parser.items("simulator")), simulator)
-
-    return Config(
-        estimator=estimator,
-        scheduler=scheduler,
-        ingest=ingest,
-        simulator=simulator,
-        vocabulary=scents,
-        ir_table=ir_table,
-        seed=seed,
-    )
+    defaults = Config()
+    updates = {}
+    for section, (name, apply) in _SECTIONS.items():
+        if parser.has_section(section):
+            try:
+                updates[name] = apply(getattr(defaults, name),
+                                      parser.items(section))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
+    return replace(defaults, **updates)

@@ -419,8 +419,9 @@ def window_features(
 
     One window is produced per stride step whose end lies within the
     trace; windows holding fewer than two RR samples are skipped, not an
-    error. Mean HR comes from the HR samples inside the window when any
-    exist, otherwise it is derived from the window's mean RR interval.
+    error, and the sweep jumps over strides that cannot hold two. Mean
+    HR comes from the HR samples inside the window when any exist,
+    otherwise it is derived from the window's mean RR interval.
     """
     if window_len_s < 60:
         raise ValueError("window_len_s must be at least 60 s")
@@ -445,26 +446,31 @@ def window_features(
         end = start + window_ms
         i0 = bisect.bisect_left(rr_ts, start)
         i1 = bisect.bisect_left(rr_ts, end)
-        if i1 - i0 >= 2:
-            seg = rr_v[i0:i1]
-            rmssd = compute_rmssd(seg)
-            sdnn = compute_sdnn(seg)
-            j0 = bisect.bisect_left(hr_ts, start)
-            j1 = bisect.bisect_left(hr_ts, end)
-            if j1 > j0:
-                mean_hr = fmean(hr_v[j0:j1])
-            else:
-                mean_hr = 60000.0 / fmean(seg)
-            windows.append(FeatureWindow(
-                window_start=start,
-                window_end=end,
-                rmssd=rmssd,
-                sdnn=sdnn,
-                mean_hr=mean_hr,
-                z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
-                z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
-                z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
-                context=flags_at(end),
-            ))
+        if i1 - i0 < 2:
+            # Until a window reaches beat i0 + 1, none holds two beats.
+            if i0 + 1 >= len(rr_ts):
+                break
+            start = -(-(rr_ts[i0 + 1] - window_ms + 1) // stride_ms) * stride_ms
+            continue
+        seg = rr_v[i0:i1]
+        rmssd = compute_rmssd(seg)
+        sdnn = compute_sdnn(seg)
+        j0 = bisect.bisect_left(hr_ts, start)
+        j1 = bisect.bisect_left(hr_ts, end)
+        if j1 > j0:
+            mean_hr = fmean(hr_v[j0:j1])
+        else:
+            mean_hr = 60000.0 / fmean(seg)
+        windows.append(FeatureWindow(
+            window_start=start,
+            window_end=end,
+            rmssd=rmssd,
+            sdnn=sdnn,
+            mean_hr=mean_hr,
+            z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
+            z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
+            z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
+            context=flags_at(end),
+        ))
         start += stride_ms
     return windows

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from scentctl.cli import main
-from scentctl.config import default_config
+from scentctl.config import Config
 from scentctl.estimator import AVState, InteractionState, estimate_av, smooth_av
 from scentctl.ingest import ContextFlags, FeatureWindow, compute_rmssd, compute_sdnn
 from scentctl.irproto import IRCodeTable, all_commands, decode_frame, encode_frame
@@ -49,7 +49,7 @@ from scentctl.simulate import (
     summarize,
 )
 
-CFG = default_config()
+CFG = Config()
 SCENTS = {s.key: s for s in CFG.vocabulary}
 CHANNELS = {profile: {SCENTS[k].channel for k in members}
             for profile, members in PROFILE_MEMBERS.items()}

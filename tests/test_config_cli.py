@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import configparser
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scentctl
 from scentctl.cli import CONFIG_ENV_VAR, main
-from scentctl.config import ConfigError, default_config, load_config
-from scentctl.irproto import POWER
-from scentctl.scents import Intensity, Rhythm
+from scentctl.config import Config, ConfigError, IngestConfig, load_config
+from scentctl.estimator import EstimatorConfig
+from scentctl.irproto import POWER, IRCodeTable
+from scentctl.scents import Intensity, Rhythm, vocabulary
+from scentctl.scheduler import SchedulerConfig
+from scentctl.simulate import SimulatorConfig
 
 
 def _write(tmp_path, name, text):
@@ -27,6 +34,7 @@ def _write(tmp_path, name, text):
 
 def test_defaults_without_file():
     config = load_config(None)
+    assert config == Config()
     assert config.seed == 0
     assert config.scheduler.min_interval_s == 900.0
     assert config.estimator.alpha == 0.4
@@ -153,7 +161,7 @@ def test_scheduler_map_key_sets_only_its_entry(tmp_path, key):
     value = 0.55 if field == "duty_map" else 5.0
     path = _write(tmp_path, "one.ini", f"[scheduler]\n{key} = {value}\n")
     loaded = load_config(path).scheduler
-    defaults = default_config().scheduler
+    defaults = Config().scheduler
     expected = dict(getattr(defaults, field))
     assert expected[member] != value
     expected[member] = value
@@ -163,9 +171,255 @@ def test_scheduler_map_key_sets_only_its_entry(tmp_path, key):
 
 
 def test_default_config_is_self_consistent():
-    config = default_config()
+    config = Config()
     assert {s.channel for s in config.vocabulary} == set(range(1, 9))
     assert len(config.ir_table.codes) == 10
+    # each Config builds its own defaults: the code table's dict is not shared
+    assert config.ir_table.codes is not Config().ir_table.codes
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    assert ";" in block  # the example documents its keys with inline comments
+    path = _write(tmp_path, "readme.ini", block)
+    assert load_config(path) == replace(Config(), seed=42)
+
+
+# -- differential check against the per-section loader ------------------------
+#
+# The reference below is a verbatim copy of the loader that handled each
+# section in its own block (with its `default_config`), renamed with a
+# `_ref` prefix. The table-driven loader must give an equal `Config` or the
+# same error text on every input, including which of several bad sections
+# it reports. The reference strips no inline comments, so generated files
+# contain no `;` or `#`.
+
+class _RefConfigError(ValueError):
+    """The configuration file is invalid."""
+
+
+def _ref_default_config() -> Config:
+    return Config(
+        estimator=EstimatorConfig(),
+        scheduler=SchedulerConfig(),
+        ingest=IngestConfig(),
+        simulator=SimulatorConfig(),
+        vocabulary=vocabulary(),
+        ir_table=IRCodeTable.default(),
+    )
+
+
+_REF_KNOWN_SECTIONS = ("general", "ingest", "estimator", "scheduler",
+                       "scent", "ir", "simulator")
+
+_REF_DUTY_KEYS = {f"duty_{level.value}": level for level in Intensity}
+_REF_BURST_KEYS = {f"burst_{rhythm.value}_s": rhythm for rhythm in Rhythm}
+
+
+def _ref_to_float(section: str, key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise _RefConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+
+
+def _ref_to_int(section: str, key: str, raw: str) -> int:
+    try:
+        return int(raw, 0)
+    except ValueError:
+        raise _RefConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+
+
+def _ref_apply_floats(section: str, items: dict[str, str], base):
+    """Override dataclass fields by name, rejecting unknown keys."""
+    updates = {}
+    for key, raw in items.items():
+        if key not in base.__dataclass_fields__:
+            raise _RefConfigError(f"[{section}] unknown key {key!r}")
+        updates[key] = _ref_to_float(section, key, raw)
+    try:
+        return replace(base, **updates)
+    except ValueError as exc:
+        raise _RefConfigError(f"[{section}] {exc}") from None
+
+
+def _ref_load_config(path: str | Path | None) -> Config:
+    """Load and validate a configuration file; None yields the defaults."""
+    cfg = _ref_default_config()
+    if path is None:
+        return cfg
+
+    parser = configparser.ConfigParser(interpolation=None)
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise _RefConfigError(str(exc)) from None
+
+    for section in parser.sections():
+        if section not in _REF_KNOWN_SECTIONS:
+            raise _RefConfigError(f"unknown section [{section}]")
+
+    seed = cfg.seed
+    if parser.has_section("general"):
+        for key, raw in parser.items("general"):
+            if key != "seed":
+                raise _RefConfigError(f"[general] unknown key {key!r}")
+            seed = _ref_to_int("general", key, raw)
+
+    ingest = cfg.ingest
+    if parser.has_section("ingest"):
+        ingest = _ref_apply_floats("ingest", dict(parser.items("ingest")), ingest)
+
+    estimator = cfg.estimator
+    if parser.has_section("estimator"):
+        estimator = _ref_apply_floats(
+            "estimator", dict(parser.items("estimator")), estimator)
+
+    scheduler = cfg.scheduler
+    if parser.has_section("scheduler"):
+        duty = dict(scheduler.duty_map)
+        burst = dict(scheduler.burst_duration_s)
+        plain: dict[str, float] = {}
+        for key, raw in parser.items("scheduler"):
+            if key in _REF_DUTY_KEYS:
+                duty[_REF_DUTY_KEYS[key]] = _ref_to_float("scheduler", key, raw)
+            elif key in _REF_BURST_KEYS:
+                burst[_REF_BURST_KEYS[key]] = _ref_to_float("scheduler", key, raw)
+            elif key in ("min_interval_s", "max_burst_s", "repeat_check_horizon_s"):
+                plain[key] = _ref_to_float("scheduler", key, raw)
+            else:
+                raise _RefConfigError(f"[scheduler] unknown key {key!r}")
+        try:
+            scheduler = replace(scheduler, duty_map=duty,
+                                burst_duration_s=burst, **plain)
+        except ValueError as exc:
+            raise _RefConfigError(f"[scheduler] {exc}") from None
+
+    scents = cfg.vocabulary
+    if parser.has_section("scent"):
+        overrides: dict[str, int] = {}
+        for key, raw in parser.items("scent"):
+            if not key.endswith(".channel"):
+                raise _RefConfigError(f"[scent] unknown key {key!r} "
+                                      "(expected <scent>.channel)")
+            overrides[key[:-len(".channel")]] = _ref_to_int("scent", key, raw)
+        try:
+            scents = vocabulary(overrides)
+        except ValueError as exc:
+            raise _RefConfigError(f"[scent] {exc}") from None
+
+    ir_table = cfg.ir_table
+    if parser.has_section("ir"):
+        codes: dict[str, int] = {}
+        for key, raw in parser.items("ir"):
+            if not key.startswith("codes."):
+                raise _RefConfigError(f"[ir] unknown key {key!r} (expected codes.<command>)")
+            codes[key[len("codes."):]] = _ref_to_int("ir", key, raw)
+        try:
+            ir_table = ir_table.with_overrides(codes)
+        except ValueError as exc:
+            raise _RefConfigError(f"[ir] {exc}") from None
+
+    simulator = cfg.simulator
+    if parser.has_section("simulator"):
+        simulator = _ref_apply_floats(
+            "simulator", dict(parser.items("simulator")), simulator)
+
+    return Config(
+        estimator=estimator,
+        scheduler=scheduler,
+        ingest=ingest,
+        simulator=simulator,
+        vocabulary=scents,
+        ir_table=ir_table,
+        seed=seed,
+    )
+
+
+# Per section: real keys with values that pass, alone, for that key.
+_INI_GOOD = {
+    "general": {"seed": ["7", "0x1F", "0b101", "1_000"]},
+    "ingest": {"window_len_s": ["60", "180"], "stride_s": ["30", "1e1"],
+               "calibration_minutes": ["6"]},
+    "estimator": {"alpha": ["0.5", "1"], "theta_a": ["0.6"], "a1": ["0.3"],
+                  "theta_mild": ["0.2"], "persistence_threshold_s": ["120"]},
+    "scheduler": {"min_interval_s": ["600"], "max_burst_s": ["20"],
+                  "repeat_check_horizon_s": ["60"], "duty_low": ["0.2"],
+                  "duty_medium_high": ["0.9"], "burst_single_brief_s": ["5"],
+                  "burst_repeated_low_frequency_s": ["10"]},
+    "scent": {"cedarwood.channel": ["5", "0x5", "1"],
+              "bergamot.channel": ["1", "0o1", "5"]},
+    "ir": {"codes.power": ["0x20DF10EF", "0X1F"],
+           "codes.shutdown": ["0x20DF00FF", "123"],
+           "codes.channel_3": ["0b1101"]},
+    "simulator": {"rr_mean_ms": ["850"], "rr_jitter_ms": ["5"],
+                  "hr_cadence_s": ["2"]},
+}
+_INI_ODD_KEYS = ["duty_map", "burst_duration_s",     # fields, not keys
+                 "foo", "alphaa", "nosuch.channel", ".channel", "codes.bogus",
+                 "codes.", *(key for keys in _INI_GOOD.values() for key in keys)]
+_INI_ODD_VALUES = [
+    "0", "-1", "1e12", "010", "0x", "0x1F", "1.5", "nan", "inf", "-inf", "",
+    "soon", "1,2", "0.5.1",
+]
+
+
+@st.composite
+def _ini_texts(draw):
+    """INI files of a few sections, each with real, odd and junk entries."""
+    sections = draw(st.permutations(
+        [name for name in [*_INI_GOOD, "DEFAULT"] if draw(st.booleans())]))
+    if draw(st.integers(0, 9)) == 0:  # an unknown or repeated section
+        sections.insert(draw(st.integers(0, len(sections))),
+                        draw(st.sampled_from(["telemetry", "General", *sections])))
+    lines = []
+    for section in sections:
+        lines.append(f"[{section}]")
+        good = _INI_GOOD.get(section, {})
+        for _ in range(draw(st.integers(0, 3))):
+            if good and draw(st.booleans()):
+                key = draw(st.sampled_from(sorted(good)))
+            else:
+                key = draw(st.sampled_from(_INI_ODD_KEYS))
+            if key in good and draw(st.integers(0, 2)):
+                value = draw(st.sampled_from(good[key]))
+            else:
+                value = draw(st.sampled_from(_INI_ODD_VALUES))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _load_outcome(load, path):
+    try:
+        return repr(load(path))  # repr: floats and map types compared exactly
+    except (ConfigError, _RefConfigError) as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example("")
+@example("[scent]\ncedarwood.channel = 1\n[scheduler]\nduty_low = 2\n")
+@example("[general]\nseed = 0x1F\n[ir]\ncodes.power = 0x20DF10EF\n")
+@example("[DEFAULT]\nseed = 3\n[general]\n")
+@given(_ini_texts())
+def test_loader_matches_per_section_reference(tmp_path, text):
+    path = _write(tmp_path, "c.ini", text)
+    assert _load_outcome(load_config, path) == _load_outcome(_ref_load_config, path)
+
+
+# Two bad sections, the later one first in the file: any reordering of the
+# table swaps at least one neighbouring pair, and so changes one report.
+@pytest.mark.parametrize("first, second", zip(_REF_KNOWN_SECTIONS,
+                                              _REF_KNOWN_SECTIONS[1:]))
+def test_loader_reports_sections_in_reference_order(tmp_path, first, second):
+    path = _write(tmp_path, "c.ini", f"[{second}]\nfoo = 1\n[{first}]\nfoo = 1\n")
+    outcome = _load_outcome(load_config, path)
+    assert outcome == _load_outcome(_ref_load_config, path)
+    assert outcome[1].startswith(f"[{first}] unknown key")
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -313,6 +567,28 @@ def test_cli_replay_epoch_ms_trace_exits_2_quickly(tmp_path):
     assert f"first kept RR beat is at {epoch + 800} ms" in proc.stderr
     assert "milliseconds since session start" in proc.stderr
 
+
+def test_cli_replay_epoch_ms_hr_trace_finishes(tmp_path):
+    # session-relative RR and context, HR stamped in epoch milliseconds
+    _, out = _synth(tmp_path, "source")
+    shifted = "".join(
+        f"{int(ts) + 1_760_000_000_000},{bpm}\n" for ts, bpm in
+        (line.split(",") for line in (out / "hr.csv").read_text().splitlines()[1:]))
+    hr = _write(tmp_path, "hr.csv", shifted)
+    common = ["replay", "--rr", str(out / "rr.csv"),
+              "--context", str(out / "context.csv")]
+    proc = _cli_subprocess([*common, "--hr", hr, "--out", str(tmp_path / "x")],
+                           timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    # No HR sample lies in any window, so every window derives HR from RR,
+    # as without --hr; the later HR end only adds windows past the last beat.
+    assert main([*common, "--out", str(tmp_path / "rr_only")]) == 0
+    with_hr = (tmp_path / "x" / "events.ndjson").read_text().splitlines()
+    rr_only = (tmp_path / "rr_only" / "events.ndjson").read_text().splitlines()
+    assert with_hr[:len(rr_only)] == rr_only
+    last_beat = int((out / "rr.csv").read_text().split()[-1].split(",")[0])
+    assert all(json.loads(line)["t"] > last_beat
+               for line in with_hr[len(rr_only):])
 
 def test_cli_replay_malformed_csv_exit_2(tmp_path, capsys):
     rr = _write(tmp_path, "rr.csv", "0,800\n600,oops\n")

@@ -6,11 +6,15 @@ import bisect
 import gc
 import math
 import random
+from statistics import fmean
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scentctl.ingest import (
+    DEFAULT_STRIDE_S,
+    DEFAULT_WINDOW_LEN_S,
     ActivityState,
     Baseline,
     ContextFlags,
@@ -33,6 +37,7 @@ from scentctl.ingest import (
     render_hr_csv,
     render_rr_csv,
     window_features,
+    _context_lookup,
 )
 
 
@@ -651,3 +656,98 @@ def test_window_features_reads_context_linearly():
                               120, 60)
     assert len(ctx) == 1000 and len(windows) == 359
     assert 0 < ctx.reads <= 2 * len(ctx) + len(windows)
+
+
+# `window_features` as it was when it walked every stride from t = 0
+# (verbatim but for its name); the sweep that jumps over strides holding
+# fewer than two beats must emit exactly the same windows.
+
+def reference_window_features(
+    rr: Series,
+    hr: Series,
+    context: Sequence[ContextSample],
+    baseline: Baseline,
+    window_len_s: float = DEFAULT_WINDOW_LEN_S,
+    stride_s: float = DEFAULT_STRIDE_S,
+) -> list[FeatureWindow]:
+    if window_len_s < 60:
+        raise ValueError("window_len_s must be at least 60 s")
+    if stride_s <= 0:
+        raise ValueError("stride_s must be positive")
+
+    rr_ts, rr_v = rr.timestamps, rr.values
+    hr_ts, hr_v = hr.timestamps, hr.values
+
+    ends = [a[-1] for a in (rr_ts, hr_ts) if a]
+    if not ends:
+        return []
+    trace_end = max(ends)
+
+    window_ms = round(window_len_s * 1000)
+    stride_ms = round(stride_s * 1000)
+
+    flags_at = _context_lookup(context)
+    windows: list[FeatureWindow] = []
+    start = 0
+    while start + window_ms <= trace_end:
+        end = start + window_ms
+        i0 = bisect.bisect_left(rr_ts, start)
+        i1 = bisect.bisect_left(rr_ts, end)
+        if i1 - i0 >= 2:
+            seg = rr_v[i0:i1]
+            rmssd = compute_rmssd(seg)
+            sdnn = compute_sdnn(seg)
+            j0 = bisect.bisect_left(hr_ts, start)
+            j1 = bisect.bisect_left(hr_ts, end)
+            if j1 > j0:
+                mean_hr = fmean(hr_v[j0:j1])
+            else:
+                mean_hr = 60000.0 / fmean(seg)
+            windows.append(FeatureWindow(
+                window_start=start,
+                window_end=end,
+                rmssd=rmssd,
+                sdnn=sdnn,
+                mean_hr=mean_hr,
+                z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
+                z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
+                z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
+                context=flags_at(end),
+            ))
+        start += stride_ms
+    return windows
+
+
+@st.composite
+def _sparse_traces(draw):
+    """(rr, hr): bursts of beats separated by gaps, each trace offset."""
+    def column(offset, steps, value):
+        ts, t = [], offset
+        for _ in range(draw(st.integers(0, 6))):  # bursts
+            t += draw(st.sampled_from(steps))
+            for _ in range(draw(st.integers(0, 40))):
+                t += draw(st.integers(300, 2000))
+                ts.append(t)
+        return Series(tuple(ts), tuple(draw(value) for _ in ts))
+
+    gaps = [0, 1, 999, 60_000, 119_999, 120_000, 400_000, 3_000_000]
+    rr = column(draw(st.integers(0, 10**7)), gaps, st.floats(300, 2000))
+    hr = column(draw(st.integers(0, 10**7)), gaps, st.floats(40, 180))
+    return rr, hr
+
+
+@settings(max_examples=200, deadline=None)
+@example((_rr([800.0] * 2, start=10**7 + 1), _rr([70.0], start=2 * 10**7)),
+         60.0, 60.0)
+@example((_rr([800.0] * 2, start=5), _rr([70.0], start=10**7)), 60.0, 0.5)
+@given(_sparse_traces(),
+       st.floats(60, 600),
+       st.one_of(st.sampled_from([0.5, 1, 30, 60, 61.3]), st.floats(0.5, 900)))
+def test_window_features_match_every_stride_reference(traces, window_len_s,
+                                                      stride_s):
+    rr, hr = traces
+    ctx = [ContextSample(0, True, _SED), ContextSample(90_000, False, _SED),
+           ContextSample(200_000, True, ActivityState.ACTIVE)]
+    baseline = Baseline(72.0, 40.0, 50.0, 3.0, 5.0, 5.0)
+    args = (rr, hr, ctx, baseline, window_len_s, stride_s)
+    assert repr(window_features(*args)) == repr(reference_window_features(*args))

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from scentctl.config import default_config
+from scentctl.config import Config
 from scentctl.estimator import InteractionState
 from scentctl.ingest import Series
 from scentctl.scents import PROFILE_MEMBERS, Profile
@@ -33,7 +33,7 @@ from scentctl.simulate import (
     summarize,
 )
 
-CFG = default_config()
+CFG = Config()
 
 
 def _session(seed, work_min, episodes, config=CFG):
