@@ -28,7 +28,8 @@ order above, so a file with several bad sections reports the first.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .estimator import EstimatorConfig
@@ -54,12 +55,20 @@ class IngestConfig:
     calibration_minutes: float = DEFAULT_CALIBRATION_MINUTES
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.window_len_s < 60:
             raise ValueError("window_len_s must be at least 60 s")
-        if self.stride_s <= 0:
-            raise ValueError("stride_s must be positive")
-        if self.calibration_minutes <= 0:
-            raise ValueError("calibration_minutes must be positive")
+        # replay and window_features work in whole milliseconds; the
+        # calibration span must hold 3 windows for compute_baseline.
+        stride_ms = round(self.stride_s * 1000)
+        if stride_ms < 1:
+            raise ValueError("stride_s must round to at least 1 ms")
+        if (round(self.calibration_minutes * 60000)
+                < round(self.window_len_s * 1000) + 2 * stride_ms):
+            raise ValueError("calibration_minutes must span 3 windows "
+                             "(window_len_s + 2 * stride_s)")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ ended; the other rules re-test their thresholds on each point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .ingest import ContextFlags, FeatureWindow
@@ -45,6 +45,9 @@ class EstimatorConfig:
     low_alertness_work_minutes: float = 30.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("a1", "a2", "v1", "v2", "v3"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"estimator weight {name} must be positive")

@@ -362,11 +362,17 @@ def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
 
 def _context_lookup(
         samples: Sequence[ContextSample]) -> Callable[[int], ContextFlags]:
-    """Build, in one pass over ``samples``, the `context_at` function of ``t``.
+    """Build, in one pass over ``samples``, the contextual flags at ``t``.
+
+    Continuous work minutes accumulate from the start of the current
+    unbroken ``session_active`` run and reset to zero whenever the
+    session is inactive. With no context stream the session is assumed
+    active (continuous desk work) from time zero; state before the first
+    record extends the first record backwards, and an active run that
+    reaches the first record counts from time zero.
 
     The pass records each row's timestamp and the start of the active run
-    the row belongs to; a run that reaches the first row counts from time
-    zero. Each lookup is then one bisect.
+    the row belongs to, so each lookup is one bisect.
     """
     if not samples:
         return lambda t: ContextFlags(t / 60000.0, ActivityState.SEDENTARY, True)
@@ -391,22 +397,6 @@ def _context_lookup(
     return flags_at
 
 
-def context_at(samples: Sequence[ContextSample], t: int) -> ContextFlags:
-    """Contextual flags in effect at time ``t``.
-
-    Continuous work minutes accumulate from the start of the current
-    unbroken ``session_active`` run and reset to zero whenever the
-    session is inactive. With no context stream the session is assumed
-    active (continuous desk work) from time zero; state before the first
-    record extends the first record backwards, and an active run that
-    reaches the first record counts from time zero.
-
-    Each call costs one pass over ``samples``; `window_features` builds
-    the lookup once and pays one bisect per window.
-    """
-    return _context_lookup(samples)(t)
-
-
 def window_features(
     rr: Series,
     hr: Series,
@@ -425,8 +415,10 @@ def window_features(
     """
     if window_len_s < 60:
         raise ValueError("window_len_s must be at least 60 s")
-    if stride_s <= 0:
-        raise ValueError("stride_s must be positive")
+    window_ms = round(window_len_s * 1000)
+    stride_ms = round(stride_s * 1000)
+    if stride_ms < 1:
+        raise ValueError("stride_s must round to at least 1 ms")
 
     rr_ts, rr_v = rr.timestamps, rr.values
     hr_ts, hr_v = hr.timestamps, hr.values
@@ -435,9 +427,6 @@ def window_features(
     if not ends:
         return []
     trace_end = max(ends)
-
-    window_ms = round(window_len_s * 1000)
-    stride_ms = round(stride_s * 1000)
 
     flags_at = _context_lookup(context)
     windows: list[FeatureWindow] = []

@@ -6,17 +6,18 @@ common consumer framing: a 9000/4500 us leader, pulse-distance-coded
 bits (560/560 us for 0, 560/1690 us for 1, most-significant bit first),
 and a 560 us stop mark. Every frame is exactly 34 (mark, space) pairs.
 
-Code words are device-specific: the shipped table holds placeholders and
-is meant to be overridden per deployment with codes captured from the
-device's own remote. Release intensity is realized as a PWM duty cycle
-on the atomizer side and never travels over this link; it is carried in
-the event log instead.
+Each command is named by its key, the name it has in `[ir] codes.<key>`
+config entries and in the event log: "power", "shutdown" and
+"channel_1" .. "channel_8" (`COMMANDS`). Code words are device-specific:
+the shipped table holds placeholders and is meant to be overridden per
+deployment with codes captured from the device's own remote. Release
+intensity is realized as a PWM duty cycle on the atomizer side and never
+travels over this link; it is carried in the event log instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 from .scheduler import ReleaseCommand
@@ -41,43 +42,9 @@ class UnknownCodeError(KeyError):
     """A decoded word (or command) is absent from the code table."""
 
 
-class CommandKind(str, Enum):
-    POWER = "power"
-    SHUTDOWN = "shutdown"
-    SELECT_CHANNEL = "select_channel"
-
-
-@dataclass(frozen=True, slots=True)
-class DeviceCommand:
-    kind: CommandKind
-    channel: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is CommandKind.SELECT_CHANNEL:
-            if self.channel is None or not 1 <= self.channel <= 8:
-                raise ValueError("channel selection requires channel in 1..8")
-        elif self.channel is not None:
-            raise ValueError(f"{self.kind.value} takes no channel")
-
-    @property
-    def key(self) -> str:
-        """Stable identifier used in config files and the event log."""
-        if self.kind is CommandKind.SELECT_CHANNEL:
-            return f"channel_{self.channel}"
-        return self.kind.value
-
-
-POWER = DeviceCommand(CommandKind.POWER)
-SHUTDOWN = DeviceCommand(CommandKind.SHUTDOWN)
-
-
-def select_channel(n: int) -> DeviceCommand:
-    return DeviceCommand(CommandKind.SELECT_CHANNEL, n)
-
-
-def all_commands() -> tuple[DeviceCommand, ...]:
-    """The full 10-command set, in stable order."""
-    return (POWER, SHUTDOWN) + tuple(select_channel(n) for n in range(1, 9))
+# Every device command, in stable order.
+COMMANDS: tuple[str, ...] = ("power", "shutdown",
+                             *(f"channel_{n}" for n in range(1, 9)))
 
 
 def _placeholder_word(command_byte: int) -> int:
@@ -96,52 +63,47 @@ _PLACEHOLDER_BYTES: dict[str, int] = {
 
 @dataclass(frozen=True)
 class IRCodeTable:
-    """Total, collision-free map from device command to 32-bit code word."""
+    """Total, collision-free map from command key to 32-bit code word."""
 
-    codes: Mapping[DeviceCommand, int]
+    codes: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        expected = set(all_commands())
+        expected = set(COMMANDS)
         present = set(self.codes)
         missing = expected - present
         if missing:
-            names = sorted(c.key for c in missing)
-            raise ValueError(f"code table is missing commands: {names}")
+            raise ValueError(f"code table is missing commands: {sorted(missing)}")
         extra = present - expected
         if extra:
-            names = sorted(c.key for c in extra)
-            raise ValueError(f"code table has unknown commands: {names}")
-        for cmd, word in self.codes.items():
+            raise ValueError(f"code table has unknown commands: {sorted(extra)}")
+        for key, word in self.codes.items():
             if not 0 <= word <= 0xFFFFFFFF:
-                raise ValueError(f"code for {cmd.key} must be a 32-bit word")
+                raise ValueError(f"code for {key} must be a 32-bit word")
         if len(set(self.codes.values())) != len(self.codes):
             raise ValueError("code table words must be unique")
 
     @classmethod
     def default(cls) -> "IRCodeTable":
         """Placeholder table; override per device with captured codes."""
-        return cls({cmd: _placeholder_word(_PLACEHOLDER_BYTES[cmd.key])
-                    for cmd in all_commands()})
+        return cls({key: _placeholder_word(_PLACEHOLDER_BYTES[key])
+                    for key in COMMANDS})
 
     def with_overrides(self, by_key: Mapping[str, int]) -> "IRCodeTable":
-        by_command = {cmd.key: cmd for cmd in all_commands()}
-        codes = dict(self.codes)
-        for key, word in by_key.items():
-            if key not in by_command:
+        for key in by_key:
+            if key not in COMMANDS:
                 raise ValueError(f"unknown IR command key {key!r}")
-            codes[by_command[key]] = word
-        return IRCodeTable(codes)
+        return IRCodeTable({**self.codes, **by_key})
 
-    def code_for(self, cmd: DeviceCommand) -> int:
+    def code_for(self, key: str) -> int:
         try:
-            return self.codes[cmd]
+            return self.codes[key]
         except KeyError:
-            raise UnknownCodeError(cmd.key) from None
+            raise UnknownCodeError(key) from None
 
-    def command_for(self, word: int) -> DeviceCommand:
-        for cmd, code in self.codes.items():
+    def command_for(self, word: int) -> str:
+        for key, code in self.codes.items():
             if code == word:
-                return cmd
+                return key
         raise UnknownCodeError(f"0x{word:08X}")
 
 
@@ -157,9 +119,9 @@ class IRFrame:
         return "\n".join(f"{m},{s}" for m, s in self.pulses) + "\n"
 
 
-def encode_frame(cmd: DeviceCommand, table: IRCodeTable) -> IRFrame:
+def encode_frame(key: str, table: IRCodeTable) -> IRFrame:
     """Encode a command as a 34-pair pulse frame, MSB first."""
-    word = table.code_for(cmd)
+    word = table.code_for(key)
     pulses = [(LEADER_MARK_US, LEADER_SPACE_US)]
     for bit_pos in range(WORD_BITS - 1, -1, -1):
         bit = (word >> bit_pos) & 1
@@ -175,8 +137,8 @@ def _check(measured: int, nominal: int, tolerance: float, what: str) -> None:
 
 
 def decode_frame(frame: IRFrame, table: IRCodeTable,
-                 tolerance_us: float = DEFAULT_TOLERANCE_US) -> DeviceCommand:
-    """Recover the command from a pulse frame.
+                 tolerance_us: float = DEFAULT_TOLERANCE_US) -> str:
+    """Recover the command key from a pulse frame.
 
     Each pulse pair is classified against its nearest nominal timing and
     must lie within ±tolerance of it; the trailing space of the stop
@@ -210,15 +172,15 @@ def decode_frame(frame: IRFrame, table: IRCodeTable,
     return table.command_for(word)
 
 
-def command_sequence_for(release: ReleaseCommand) -> list[tuple[int, DeviceCommand]]:
-    """Timestamped device commands realizing one release.
+def command_sequence_for(release: ReleaseCommand) -> list[tuple[int, str]]:
+    """Timestamped command keys realizing one release.
 
     Channel select and power-on go out at the release start, shutdown at
     the release end. Duty is not part of the sequence: the control link
     carries discrete commands only.
     """
     return [
-        (release.start, select_channel(release.channel)),
-        (release.start, POWER),
-        (release.end, SHUTDOWN),
+        (release.start, f"channel_{release.channel}"),
+        (release.start, "power"),
+        (release.end, "shutdown"),
     ]

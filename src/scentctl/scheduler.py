@@ -24,6 +24,7 @@ are immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -70,6 +71,9 @@ class SchedulerConfig:
     repeat_check_horizon_s: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("min_interval_s", "repeat_check_horizon_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.min_interval_s > 0:
             raise ValueError("min_interval_s must be positive")
         if not 0 < self.max_burst_s <= 30:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -174,6 +174,9 @@ class SimulatorConfig:
     context_cadence_s: float = 60.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.rr_mean_ms > 0 or not self.rr_jitter_ms > 0:
             raise ValueError("rr_mean_ms and rr_jitter_ms must be positive")
         for name in ("stress_rr_drop", "stress_jitter_drop",
@@ -368,9 +371,9 @@ def replay(traces: Traces, config: "Config") -> EventLog:
             duty=command.duty, duration_s=command.duration_s,
             start=command.start, end=command.end, cause=cause.value,
             repeat_due=None if st.pending_repeat is None else st.pending_repeat.due)
-        for ts, device_cmd in command_sequence_for(command):
-            log(ts, "ir_command", command=device_cmd.key,
-                code=f"0x{table.code_for(device_cmd):08X}")
+        for ts, key in command_sequence_for(command):
+            log(ts, "ir_command", command=key,
+                code=f"0x{table.code_for(key):08X}")
 
     for fw in windows:
         if fw.window_end <= calib_ms:

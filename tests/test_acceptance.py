@@ -23,7 +23,7 @@ from scentctl.cli import main
 from scentctl.config import Config
 from scentctl.estimator import AVState, InteractionState, estimate_av, smooth_av
 from scentctl.ingest import ContextFlags, FeatureWindow, compute_rmssd, compute_sdnn
-from scentctl.irproto import IRCodeTable, all_commands, decode_frame, encode_frame
+from scentctl.irproto import COMMANDS, IRCodeTable, decode_frame, encode_frame
 from scentctl.scents import (
     PROFILE_MEMBERS,
     Profile,
@@ -337,7 +337,7 @@ def test_a07_scent_variation_policy():
 def test_a08_ir_round_trip_over_random_tables():
     """All ten commands survive encode/decode across 200 random tables."""
     rng = random.Random(808)
-    commands = all_commands()
+    commands = COMMANDS
     for _ in range(200):
         words = set()
         while len(words) < 10:

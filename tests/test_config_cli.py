@@ -18,7 +18,7 @@ import scentctl
 from scentctl.cli import CONFIG_ENV_VAR, main
 from scentctl.config import Config, ConfigError, IngestConfig, load_config
 from scentctl.estimator import EstimatorConfig
-from scentctl.irproto import POWER, IRCodeTable
+from scentctl.irproto import IRCodeTable
 from scentctl.scents import Intensity, Rhythm, vocabulary
 from scentctl.scheduler import SchedulerConfig
 from scentctl.simulate import SimulatorConfig
@@ -87,7 +87,7 @@ rr_mean_ms = 850
     assert config.scheduler.burst_duration_s[Rhythm.REPEATED_LOW_FREQUENCY] == 10.0
     channels = {s.key: s.channel for s in config.vocabulary}
     assert channels["cedarwood"] == 1 and channels["bergamot"] == 5
-    assert config.ir_table.code_for(POWER) == 0x20DF10EF
+    assert config.ir_table.code_for("power") == 0x20DF10EF
     assert config.simulator.rr_mean_ms == 850.0
 
 
@@ -168,6 +168,35 @@ def test_scheduler_map_key_sets_only_its_entry(tmp_path, key):
     assert dict(getattr(loaded, field)) == expected
     other = "burst_duration_s" if field == "duty_map" else "duty_map"
     assert dict(getattr(loaded, other)) == dict(getattr(defaults, other))
+
+
+# Each of these would hang a run, fail it on every input or crash it;
+# inf is refused wherever nan is.
+@pytest.mark.parametrize("section, entry", [
+    ("ingest", "stride_s = 0.0004"),          # rounds to a 0 ms stride
+    ("ingest", "calibration_minutes = 1"),    # holds no calibration window
+    ("ingest", "stride_s = 400"),             # holds one calibration window
+    ("ingest", "stride_s = nan"),
+    ("ingest", "window_len_s = inf"),
+    ("ingest", "calibration_minutes = nan"),
+    ("scheduler", "min_interval_s = inf"),
+    ("scheduler", "repeat_check_horizon_s = nan"),
+    ("simulator", "hr_cadence_s = nan"),
+    ("estimator", "persistence_threshold_s = nan"),
+    ("estimator", "recovery_window_s = inf"),
+])
+def test_cli_validate_rejects_configs_that_cannot_run(tmp_path, capsys,
+                                                      section, entry):
+    config = _write(tmp_path, "bad.ini", f"[{section}]\n{entry}\n")
+    assert main(["validate", "--config", config]) == 3
+    assert f"validation error: [{section}]" in capsys.readouterr().err
+
+
+def test_ingest_calibration_boundary_is_inclusive():
+    # 6 min = 180 s + 2 * 90 s exactly; one millisecond less is refused
+    IngestConfig(window_len_s=180, stride_s=90, calibration_minutes=6)
+    with pytest.raises(ValueError, match="3 windows"):
+        IngestConfig(window_len_s=180.001, stride_s=90, calibration_minutes=6)
 
 
 def test_default_config_is_self_consistent():
@@ -589,6 +618,17 @@ def test_cli_replay_epoch_ms_hr_trace_finishes(tmp_path):
     last_beat = int((out / "rr.csv").read_text().split()[-1].split(",")[0])
     assert all(json.loads(line)["t"] > last_beat
                for line in with_hr[len(rr_only):])
+
+
+def test_cli_replay_sub_millisecond_stride_exits_3(tmp_path):
+    _, out = _synth(tmp_path, "source")
+    config = _write(tmp_path, "tiny.ini", "[ingest]\nstride_s = 0.0004\n")
+    proc = _cli_subprocess(["replay", "--config", config,
+                            "--rr", str(out / "rr.csv"),
+                            "--out", str(tmp_path / "x")], timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "stride_s must round to at least 1 ms" in proc.stderr
+
 
 def test_cli_replay_malformed_csv_exit_2(tmp_path, capsys):
     rr = _write(tmp_path, "rr.csv", "0,800\n600,oops\n")

@@ -27,7 +27,6 @@ from scentctl.ingest import (
     compute_baseline,
     compute_rmssd,
     compute_sdnn,
-    context_at,
     parse_context_stream,
     parse_hr_stream,
     parse_rr_stream,
@@ -319,7 +318,7 @@ def test_baseline_rejects_non_positive():
 
 def test_context_accumulates_work_minutes():
     ctx = [ContextSample(0, True, ActivityState.SEDENTARY)]
-    flags = context_at(ctx, 30 * 60000)
+    flags = _context_lookup(ctx)(30 * 60000)
     assert flags.work_minutes_continuous == pytest.approx(30.0)
     assert flags.session_active
 
@@ -330,13 +329,13 @@ def test_context_resets_on_break():
         ContextSample(20 * 60000, False, ActivityState.ACTIVE),
         ContextSample(25 * 60000, True, ActivityState.SEDENTARY),
     ]
-    assert context_at(ctx, 22 * 60000).work_minutes_continuous == 0.0
-    after = context_at(ctx, 35 * 60000)
+    assert _context_lookup(ctx)(22 * 60000).work_minutes_continuous == 0.0
+    after = _context_lookup(ctx)(35 * 60000)
     assert after.work_minutes_continuous == pytest.approx(10.0)
 
 
 def test_context_defaults_without_stream():
-    flags = context_at([], 45 * 60000)
+    flags = _context_lookup([])(45 * 60000)
     assert flags.session_active
     assert flags.work_minutes_continuous == pytest.approx(45.0)
 
@@ -619,7 +618,7 @@ _SED = ActivityState.SEDENTARY
                                     min_size=1, max_size=10))
 def test_context_at_matches_reference(ctx, times):
     for t in times:
-        assert context_at(ctx, t) == reference_context_at(ctx, t)
+        assert _context_lookup(ctx)(t) == reference_context_at(ctx, t)
 
 
 @given(_context_streams())

@@ -7,10 +7,12 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from scentctl.config import Config
+from scentctl.config import Config, IngestConfig
 from scentctl.estimator import InteractionState
 from scentctl.ingest import Series
+from scentctl.irproto import COMMANDS
 from scentctl.scents import PROFILE_MEMBERS, Profile
 from scentctl.simulate import (
     BREAK_BLOCK_MAX,
@@ -248,6 +250,28 @@ def test_replay_emits_ir_commands_for_each_release():
     assert by_command.count("shutdown") == len(releases)
 
 
+def test_replay_logs_codes_of_an_overridden_table():
+    table = CFG.ir_table.with_overrides({"power": 0x20DF10EF,
+                                         "channel_5": 0x20DF50AF})
+    config = dataclasses.replace(CFG, ir_table=table)
+    _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)], config)
+    ir = [(r.timestamp, r.payload["command"], r.payload["code"])
+          for r in log.records if r.kind == "ir_command"]
+    for _, command, code in ir:
+        assert command in COMMANDS
+        assert code == f"0x{table.code_for(command):08X}"
+        assert table.command_for(int(code, 16)) == command
+    assert ("power", "0x20DF10EF") in {(c, code) for _, c, code in ir}
+    releases = _releases(log)
+    assert releases and len(ir) == 3 * len(releases)
+    sent = {(t, command) for t, command, _ in ir}
+    for release in releases:
+        start, end = release.payload["start"], release.payload["end"]
+        assert (start, f"channel_{release.payload['channel']}") in sent
+        assert (start, "power") in sent
+        assert (end, "shutdown") in sent
+
+
 def test_replay_seed_changes_scent_choice_only_deterministically():
     config_a = dataclasses.replace(CFG, seed=1)
     config_b = dataclasses.replace(CFG, seed=1)
@@ -278,6 +302,35 @@ def test_replay_without_kept_beats_fails_before_windowing():
     out_of_range = Series(traces.rr.timestamps, (2500.0,) * len(traces.rr))
     with pytest.raises(InsufficientDataError, match="no RR beat is kept"):
         replay(dataclasses.replace(traces, rr=out_of_range), CFG)
+
+
+_CLEAN_20_MIN = generate_session(
+    4, SessionPlan((SessionBlock(BlockKind.WORK, 20.0),)), EpisodeScript(()),
+    CFG.simulator)
+
+
+@st.composite
+def _ingest_geometries(draw):
+    """Window 60-600 s, stride 0.5-600 s, calibration of at most 15 min,
+    drawn mostly near the smallest calibration that holds 3 windows."""
+    window = draw(st.floats(60, 600))
+    stride = draw(st.floats(0.5, min(600, (900 - window) / 2)))
+    least = (window + 2 * stride) / 60
+    return window, stride, draw(st.floats(max(least - 0.001, 0.001), 15))
+
+
+@settings(max_examples=30, deadline=None)
+@example((180, 90, 6))
+@example((60, 0.5, 1.0 + 1 / 60))
+@example((600, 150, 15))
+@given(_ingest_geometries())
+def test_every_accepted_ingest_config_replays(geometry):
+    window, stride, minutes = geometry
+    try:
+        ingest = IngestConfig(window, stride, minutes)
+    except ValueError:
+        return  # refused configs are checked by validate's tests
+    replay(_CLEAN_20_MIN, dataclasses.replace(CFG, ingest=ingest))
 
 
 # -- summary -----------------------------------------------------------------
