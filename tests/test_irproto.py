@@ -63,13 +63,24 @@ def test_command_set_is_total():
     assert COMMANDS[2:] == tuple(f"channel_{n}" for n in range(1, 9))
 
 
+def test_select_channel_validation():
+    # Channels outside 1..8, and a non-channel command carrying a channel,
+    # have no key: the table refuses them on lookup, encode and override.
+    for key in ("channel_0", "channel_9", "power_3"):
+        with pytest.raises(UnknownCodeError):
+            TABLE.code_for(key)
+        with pytest.raises(UnknownCodeError):
+            encode_frame(key, TABLE)
+        with pytest.raises(ValueError, match="unknown IR command key"):
+            TABLE.with_overrides({key: 0x12345678})
+
+
 def test_command_keys():
     assert COMMANDS == ("power", "shutdown", "channel_1", "channel_2",
                         "channel_3", "channel_4", "channel_5", "channel_6",
                         "channel_7", "channel_8")
-    for key in ("channel_0", "channel_9", "volume_up"):
-        with pytest.raises(UnknownCodeError):
-            TABLE.code_for(key)
+    with pytest.raises(UnknownCodeError):
+        TABLE.code_for("volume_up")
 
 
 def test_table_requires_all_commands():
