@@ -36,7 +36,6 @@ from .simulate import (
     Episode,
     EpisodeKind,
     EpisodeScript,
-    EventLog,
     ScriptError,
     SessionBlock,
     SessionPlan,
@@ -114,14 +113,12 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_outputs(out_dir: Path, log: EventLog, summary) -> None:
+def _write_outputs(out_dir: Path, log: list[dict], summary) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "events.ndjson").open("w", encoding="utf-8") as handle:
-        for record in log.records:
-            line = json.dumps({"t": record.timestamp, "kind": record.kind,
-                               **record.payload},
-                              sort_keys=True, separators=(",", ":"))
-            handle.write(line + "\n")
+        for record in log:
+            handle.write(json.dumps(record, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
     (out_dir / "summary.json").write_text(
         json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -177,7 +174,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     traces = Traces(rr, hr, context)
 
     log = replay(traces, config)
-    summary = summarize(log)
+    summary = summarize(log, config)
     out_dir = Path(args.out)
     _write_outputs(out_dir, log, summary)
     print(f"wrote {out_dir / 'events.ndjson'} and {out_dir / 'summary.json'} "
@@ -192,12 +189,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         import random
         plan = default_plan(random.Random(config.seed), args.duration_min)
+    if plan.total_minutes < config.ingest.calibration_minutes:
+        raise ScriptError(
+            f"plan of {plan.total_minutes:g} min is shorter than the "
+            f"{config.ingest.calibration_minutes:g}-minute baseline calibration")
     script = _parse_script(_read_text(args.script)) if args.script \
         else EpisodeScript()
 
     traces = generate_session(config.seed, plan, script, config.simulator)
     log = replay(traces, config)
-    summary = summarize(log)
+    summary = summarize(log, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

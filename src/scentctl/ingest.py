@@ -346,7 +346,9 @@ def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
     """
     if len(calibration) < 3:
         raise InsufficientDataError(
-            f"baseline calibration needs at least 3 windows, got {len(calibration)}")
+            f"baseline calibration needs at least 3 windows with two or more "
+            f"kept RR beats, got {len(calibration)}: the calibration span has "
+            f"gaps or the trace ends inside it")
     hr = [w.mean_hr for w in calibration]
     rmssd = [w.rmssd for w in calibration]
     sdnn = [w.sdnn for w in calibration]

@@ -10,17 +10,20 @@ makes no claim of physiological realism.
 `replay` drives traces through the whole pipeline (features, estimation,
 smoothing, classification, expression, scheduling, device commands) as a
 single-threaded event loop evaluating once per window stride, and emits
-a time-ordered event log. `summarize` audits a log against the actuation
-constraints and aggregates it for operators.
+a time-ordered event log: a list of records, each the object that
+becomes one `events.ndjson` line (`t` in ms, `kind`, kind-specific
+fields). `summarize` audits such a log against the actuation constraints
+and the configuration, and aggregates it for operators.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .estimator import (
     AVState,
@@ -43,13 +46,7 @@ from .ingest import (
 )
 from .irproto import command_sequence_for
 from .scents import SelectionHistory, expression_for, select_scent
-from .scheduler import (
-    SchedulerConfig,
-    SchedulerState,
-    request,
-    suppression_reason,
-    tick,
-)
+from .scheduler import SchedulerState, request, suppression_reason, tick
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import Config
@@ -66,8 +63,8 @@ MAX_SESSION_MIN = 7 * 24 * 60
 # stream never jumps hard enough to look like an artifact.
 EPISODE_RAMP_MIN = 0.5
 
-RECORD_KINDS = ("feature", "av_state", "interaction_state", "decision",
-                "release", "suppression", "ir_command")
+RECORD_KINDS = ("feature", "av_state", "interaction_state", "release",
+                "suppression", "ir_command")
 
 SUPPRESSED_REPEAT_CANCELLED = "repeat_cancelled"
 
@@ -285,29 +282,11 @@ def generate_session(
                   Series(tuple(hr_ts), tuple(hr_v)), context)
 
 
-@dataclass(frozen=True, slots=True)
-class EventLogRecord:
-    timestamp: int
-    kind: str
-    payload: dict
-
-    def __post_init__(self) -> None:
-        if self.kind not in RECORD_KINDS:
-            raise ValueError(f"unknown record kind {self.kind!r}")
-
-
-@dataclass(slots=True)
-class EventLog:
-    records: list[EventLogRecord]
-    scheduler_cfg: SchedulerConfig
-    stride_s: float
-
-
 def _round6(x: float) -> float:
     return round(x, 6)
 
 
-def replay(traces: Traces, config: "Config") -> EventLog:
+def replay(traces: Traces, config: "Config") -> list[dict]:
     """Drive traces through the full pipeline and log every stage.
 
     The first calibration span of windows establishes the individual
@@ -347,26 +326,21 @@ def replay(traces: Traces, config: "Config") -> EventLog:
     st = SchedulerState()
     smoothed: AVState | None = None
     last_seen: dict[InteractionState, int] = {}
-    records: list[EventLogRecord] = []
+    records: list[dict] = []
 
-    def log(t: int, kind: str, **payload) -> None:
-        records.append(EventLogRecord(t, kind, payload))
+    def log(t: int, kind: str, **fields) -> None:
+        records.append({"t": t, "kind": kind, **fields})
 
     def issue(expr, cause: InteractionState, now: int,
               still_holds: bool) -> None:
         reason = suppression_reason(now, st, sched_cfg)
         if reason is not None:
-            log(now, "decision", outcome="suppressed", reason=reason,
-                state=cause.value, profile=expr.profile.value)
             log(now, "suppression", reason=reason, state=cause.value,
                 profile=expr.profile.value)
             return
         scent = scents_by_key[select_scent(expr, history, rng)]
         command = request(expr, scent, now, st, sched_cfg, cause=cause,
                           still_holds=still_holds)
-        log(now, "decision", outcome="scheduled", state=cause.value,
-            profile=expr.profile.value, intensity=expr.intensity.value,
-            rhythm=expr.rhythm.value)
         log(now, "release", channel=command.channel, scent=command.scent,
             duty=command.duty, duration_s=command.duration_s,
             start=command.start, end=command.end, cause=cause.value,
@@ -414,8 +388,8 @@ def replay(traces: Traces, config: "Config") -> EventLog:
         if expr is not None:
             issue(expr, state, now, True)
 
-    records.sort(key=lambda r: r.timestamp)  # stable: in-instant order kept
-    return EventLog(records, sched_cfg, ing.stride_s)
+    records.sort(key=lambda r: r["t"])  # stable: in-instant order kept
+    return records
 
 
 @dataclass(slots=True)
@@ -445,54 +419,72 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"malformed event log: {message}")
 
 
-def summarize(log: EventLog) -> SessionSummary:
-    """Aggregate a log and count actuation-constraint violations.
+def summarize(records: Iterable[dict], config: "Config") -> SessionSummary:
+    """Aggregate a log in one pass and count actuation-constraint violations.
 
-    Violations cover overlapping releases, end-to-start gaps below the
-    minimum interval, and over-long bursts; a well-formed replay log
-    always scores zero. Raises ValueError on a malformed log.
+    Each of these counts one violation: overlapping releases, an
+    end-to-start gap below the minimum interval, an over-long burst, a
+    release on a channel other than its scent's, a release missing its
+    channel select or power command at its start or its shutdown at its
+    end (each command follows its release in the log), and an
+    `ir_command` whose code is not its command's configured word. A log
+    that `replay` produced always scores zero. Raises ValueError on a
+    malformed log: records out of time order or of an unknown kind.
     """
     summary = SessionSummary()
-    prev_ts: int | None = None
-    releases: list[dict] = []
-    decision_ts: set[int] = set()
+    min_interval_ms = config.scheduler.min_interval_ms
+    state_min = config.ingest.stride_s / 60.0
+    channel_of = {s.key: s.channel for s in config.vocabulary}
+    codes = config.ir_table.codes
+    awaited: Counter[tuple[int, str]] = Counter()  # (t, command) not yet seen
+    prev_t: int | None = None
+    prev: dict | None = None
 
-    for record in log.records:
-        _require(prev_ts is None or record.timestamp >= prev_ts,
-                 f"records out of order at t={record.timestamp}")
-        prev_ts = record.timestamp
-        if record.kind == "decision":
-            decision_ts.add(record.timestamp)
-        elif record.kind == "release":
-            _require(record.timestamp in decision_ts,
-                     f"release at t={record.timestamp} lacks a decision record")
-            releases.append(record.payload)
-            channel = record.payload["channel"]
+    for record in records:
+        t, kind = record["t"], record["kind"]
+        _require(kind in RECORD_KINDS, f"unknown record kind {kind!r} at t={t}")
+        _require(prev_t is None or t >= prev_t, f"records out of order at t={t}")
+        prev_t = t
+        if kind == "release":
+            channel = record["channel"]
+            summary.releases += 1
             summary.per_channel[channel] = summary.per_channel.get(channel, 0) + 1
-        elif record.kind == "suppression":
-            reason = record.payload["reason"]
+            if record["duration_s"] > config.scheduler.max_burst_s:
+                summary.violations += 1  # over-long burst
+            if channel_of.get(record["scent"]) != channel:
+                summary.violations += 1  # not its scent's channel
+            awaited.update([(record["start"], f"channel_{channel}"),
+                            (record["start"], "power"),
+                            (record["end"], "shutdown")])
+            if prev is not None:
+                if record["start"] < prev["end"]:
+                    summary.violations += 1  # overlap
+                gap_ms = record["start"] - prev["end"]
+                if gap_ms < min_interval_ms:
+                    summary.violations += 1  # cooldown breach
+                bucket = max(int(gap_ms / 1000.0 // 300) * 300, 0)
+                key = f"{bucket}-{bucket + 299}s"
+                summary.interval_histogram[key] = (
+                    summary.interval_histogram.get(key, 0) + 1)
+            prev = record
+        elif kind == "ir_command":
+            command = record["command"]
+            if awaited[t, command] > 1:
+                awaited[t, command] -= 1
+            else:
+                awaited.pop((t, command), None)
+            word = codes.get(command)
+            if word is None or record["code"] != f"0x{word:08X}":
+                summary.violations += 1  # not the configured word
+        elif kind == "suppression":
+            reason = record["reason"]
             summary.suppressions[reason] = summary.suppressions.get(reason, 0) + 1
-        elif record.kind == "interaction_state":
-            state = record.payload["state"]
+        elif kind == "interaction_state":
+            state = record["state"]
             summary.state_minutes[state] = (
-                summary.state_minutes.get(state, 0.0) + log.stride_s / 60.0)
+                summary.state_minutes.get(state, 0.0) + state_min)
 
-    summary.releases = len(releases)
-    min_interval_ms = log.scheduler_cfg.min_interval_ms
-    for prev, nxt in zip(releases, releases[1:]):
-        if nxt["start"] < prev["end"]:
-            summary.violations += 1  # overlap
-        gap_ms = nxt["start"] - prev["end"]
-        if gap_ms < min_interval_ms:
-            summary.violations += 1  # cooldown breach
-        bucket = max(int(gap_ms / 1000.0 // 300) * 300, 0)
-        key = f"{bucket}-{bucket + 299}s"
-        summary.interval_histogram[key] = (
-            summary.interval_histogram.get(key, 0) + 1)
-    for release in releases:
-        if release["duration_s"] > log.scheduler_cfg.max_burst_s:
-            summary.violations += 1
-
+    summary.violations += sum(awaited.values())  # commands never sent
     summary.state_minutes = {
         k: round(v, 6) for k, v in summary.state_minutes.items()}
     return summary

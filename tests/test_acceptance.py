@@ -66,7 +66,7 @@ def _scripted(seed, work_min, episodes):
     script = EpisodeScript(tuple(Episode(*e) for e in episodes))
     traces = generate_session(seed, plan, script, CFG.simulator)
     log = replay(traces, CFG)
-    releases = [r for r in log.records if r.kind == "release"]
+    releases = [r for r in log if r["kind"] == "release"]
     return log, releases
 
 
@@ -150,8 +150,8 @@ def test_a03_each_state_yields_its_profile_output():
 
     # sustained strain: forest profile, medium-high duty, repeat at +900 s
     _, releases = _scripted(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    persistent = [r.payload for r in releases
-                  if r.payload["cause"] == "elevated_stress_persistent"]
+    persistent = [r for r in releases
+                  if r["cause"] == "elevated_stress_persistent"]
     assert persistent, "no persistent-stress release"
     for payload in persistent:
         assert payload["channel"] in CHANNELS[Profile.FOREST]
@@ -165,7 +165,7 @@ def test_a03_each_state_yields_its_profile_output():
     # transient strain: narrowed forest pair, low-medium duty, single burst
     _, releases = _scripted(1, 20.0, [(6.0, 5.0, EpisodeKind.STRESS, 1.0)])
     assert len(releases) == 1
-    payload = releases[0].payload
+    payload = releases[0]
     assert payload["cause"] == "elevated_stress_short"
     assert payload["scent"] in ("cedarwood", "frankincense")
     assert payload["channel"] in {SCENTS["cedarwood"].channel,
@@ -176,7 +176,7 @@ def test_a03_each_state_yields_its_profile_output():
 
     # recovery after strain: garden profile, low duty, single burst
     _, releases = _scripted(1, 40.0, [(10.0, 14.0, EpisodeKind.STRESS, 1.0)])
-    recovery = [r.payload for r in releases if r.payload["cause"] == "recovery"]
+    recovery = [r for r in releases if r["cause"] == "recovery"]
     assert recovery
     for payload in recovery:
         assert payload["channel"] in CHANNELS[Profile.GARDEN]
@@ -186,8 +186,8 @@ def test_a03_each_state_yields_its_profile_output():
 
     # long-work fatigue: open-air profile, medium duty, repeat while it holds
     _, releases = _scripted(1, 60.0, [(32.0, 26.0, EpisodeKind.FATIGUE, 1.0)])
-    alert = [r.payload for r in releases
-             if r.payload["cause"] == "low_alertness"]
+    alert = [r for r in releases
+             if r["cause"] == "low_alertness"]
     assert len(alert) >= 2, "conditional repeat did not fire during fatigue"
     for payload in alert:
         assert payload["channel"] in CHANNELS[Profile.OPEN_AIR]
@@ -198,18 +198,18 @@ def test_a03_each_state_yields_its_profile_output():
 
     # fatigue that clears before the repeat is due: exactly one release
     log, releases = _scripted(1, 60.0, [(32.0, 8.0, EpisodeKind.FATIGUE, 1.0)])
-    alert = [r.payload for r in releases
-             if r.payload["cause"] == "low_alertness"]
+    alert = [r for r in releases
+             if r["cause"] == "low_alertness"]
     assert len(alert) == 1
     assert alert[0]["repeat_due"] is not None
-    cancelled = [r for r in log.records if r.kind == "suppression"
-                 and r.payload["reason"] == "repeat_cancelled"]
+    cancelled = [r for r in log if r["kind"] == "suppression"
+                 and r["reason"] == "repeat_cancelled"]
     assert cancelled, "armed repeat was not cancelled after the state cleared"
 
     # mild imbalance: meadow profile, low duty, single burst
     _, releases = _scripted(1, 25.0, [(8.0, 6.0, EpisodeKind.STRESS, 0.09)])
     assert len(releases) == 1
-    payload = releases[0].payload
+    payload = releases[0]
     assert payload["cause"] == "mild_imbalance"
     assert payload["channel"] in CHANNELS[Profile.MEADOW]
     assert payload["duty"] == duty[expression_for(
@@ -223,15 +223,15 @@ def test_a04_stress_gets_forest_and_fatigue_gets_fresh_notes():
     """High arousal/low valence releases woody notes; long-work fatigue
     releases peppermint or tea tree."""
     _, releases = _scripted(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    stress = [r.payload for r in releases
-              if r.payload["cause"].startswith("elevated_stress")]
+    stress = [r for r in releases
+              if r["cause"].startswith("elevated_stress")]
     assert stress
     for payload in stress:
         assert payload["scent"] in PROFILE_MEMBERS[Profile.FOREST]
 
     _, releases = _scripted(1, 60.0, [(32.0, 26.0, EpisodeKind.FATIGUE, 1.0)])
-    fatigue = [r.payload for r in releases
-               if r.payload["cause"] == "low_alertness"]
+    fatigue = [r for r in releases
+               if r["cause"] == "low_alertness"]
     assert fatigue
     for payload in fatigue:
         assert payload["scent"] in ("peppermint", "tea_tree")
@@ -313,7 +313,7 @@ def test_a07_scent_variation_policy():
         multi_member = {p: m for p, m in PROFILE_MEMBERS.items() if len(m) > 1}
         scent_profile = []
         for record in releases:
-            scent = record.payload["scent"]
+            scent = record["scent"]
             for profile, members in multi_member.items():
                 if scent in members:
                     scent_profile.append((scent, profile))
@@ -420,7 +420,7 @@ def test_a11_replayed_logs_audit_clean():
         ))
         traces = generate_session(seed, plan, script, CFG.simulator)
         log = replay(traces, CFG)
-        summary = summarize(log)
+        summary = summarize(log, CFG)
         assert summary.violations == 0
         checked += summary.releases
     _ok(f"replay-audit-clean ({checked} releases across 8 sessions)")

@@ -21,7 +21,7 @@ from scentctl.estimator import EstimatorConfig
 from scentctl.irproto import IRCodeTable
 from scentctl.scents import Intensity, Rhythm, vocabulary
 from scentctl.scheduler import SchedulerConfig
-from scentctl.simulate import SimulatorConfig
+from scentctl.simulate import RECORD_KINDS, SimulatorConfig
 
 
 def _write(tmp_path, name, text):
@@ -205,6 +205,13 @@ def test_default_config_is_self_consistent():
     assert len(config.ir_table.codes) == 10
     # each Config builds its own defaults: the code table's dict is not shared
     assert config.ir_table.codes is not Config().ir_table.codes
+
+
+def test_readme_event_log_kinds_are_the_record_kinds():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Event log", 1)[1]
+    listed = re.search(r"Kinds: (.*?)\.\n", section, re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", listed)) == RECORD_KINDS
 
 
 def test_readme_example_config_loads(tmp_path):
@@ -525,6 +532,24 @@ def test_cli_synth_bad_session_length_exit_3(tmp_path, capsys, plan_args):
                  "--out", str(tmp_path / "x")])
     assert code == 3
     assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_synth_plan_shorter_than_calibration_exit_3(tmp_path, capsys):
+    code = main(["synth", "--blocks", "work:3", "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "plan of 3 min is shorter than the 5-minute baseline calibration" in err
+    assert main(["synth", "--blocks", "work:6", "--out", str(tmp_path / "y")]) == 0
+
+
+def test_cli_replay_trace_starting_inside_calibration_exit_2(tmp_path, capsys):
+    # beats from 240 s: only the window ending at 300 s calibrates
+    rr = _write(tmp_path, "rr.csv", "".join(
+        f"{240_000 + i * 800},800\n" for i in range(1, 1201)))
+    assert main(["replay", "--rr", rr, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert ("needs at least 3 windows with two or more kept RR beats, got 1: "
+            "the calibration span has gaps or the trace ends inside it") in err
 
 
 def test_cli_synth_nan_episode_start_exit_3(tmp_path, capsys):

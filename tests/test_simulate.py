@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import json
 import random
 
 import pytest
@@ -23,9 +24,8 @@ from scentctl.simulate import (
     BlockKind,
     Episode,
     EpisodeKind,
+    RECORD_KINDS,
     EpisodeScript,
-    EventLog,
-    EventLogRecord,
     ScriptError,
     SessionBlock,
     SessionPlan,
@@ -46,7 +46,7 @@ def _session(seed, work_min, episodes, config=CFG):
 
 
 def _releases(log):
-    return [r for r in log.records if r.kind == "release"]
+    return [r for r in log if r["kind"] == "release"]
 
 
 # -- plans and scripts -------------------------------------------------------
@@ -170,29 +170,29 @@ def test_null_stimulus_session_stays_quiet():
     traces, log = _session(0, 35.0, [])
     assert _releases(log) == []
     calib_ms = round(CFG.ingest.calibration_minutes * 60000)
-    assert all(r.timestamp > calib_ms for r in log.records)
-    for record in log.records:
-        if record.kind == "feature":
+    assert all(r["t"] > calib_ms for r in log)
+    for record in log:
+        if record["kind"] == "feature":
             for key in ("z_hr", "z_rmssd", "z_sdnn"):
-                assert abs(record.payload[key]) < 1.0
+                assert abs(record[key]) < 1.0
 
 
 def test_stress_episode_shapes_features():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
     # windows wholly inside the episode plateau
-    inside = [r for r in log.records if r.kind == "feature"
-              and 12.5 * 60000 <= r.timestamp <= 34.5 * 60000]
+    inside = [r for r in log if r["kind"] == "feature"
+              and 12.5 * 60000 <= r["t"] <= 34.5 * 60000]
     assert inside
     for record in inside:
-        assert record.payload["z_hr"] > 0
-        assert record.payload["z_rmssd"] < 0
+        assert record["z_hr"] > 0
+        assert record["z_rmssd"] < 0
 
 
 def test_generator_soundness_strong_episode_classified():
     for seed in range(5):
         _, log = _session(seed, 30.0, [(8.0, 10.0, EpisodeKind.STRESS, 0.8)])
-        states = {r.payload["state"] for r in log.records
-                  if r.kind == "interaction_state"}
+        states = {r["state"] for r in log
+                  if r["kind"] == "interaction_state"}
         assert states - {InteractionState.NEUTRAL.value}
 
 
@@ -204,11 +204,11 @@ FOREST_CHANNELS = {5, 6, 7}
 def test_sustained_stress_triggers_forest_release():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
     persistent = [r for r in _releases(log)
-                  if r.payload["cause"] == "elevated_stress_persistent"]
+                  if r["cause"] == "elevated_stress_persistent"]
     assert persistent
     for record in persistent:
-        assert record.payload["channel"] in FOREST_CHANNELS
-        assert record.payload["scent"] in PROFILE_MEMBERS[Profile.FOREST]
+        assert record["channel"] in FOREST_CHANNELS
+        assert record["scent"] in PROFILE_MEMBERS[Profile.FOREST]
 
 
 def test_two_stress_peaks_one_release():
@@ -216,36 +216,40 @@ def test_two_stress_peaks_one_release():
                                 (10.0, 3.0, EpisodeKind.STRESS, 1.0)])
     releases = _releases(log)
     assert len(releases) == 1
-    summary = summarize(log)
+    summary = summarize(log, CFG)
     assert summary.suppressions.get("cooldown", 0) >= 1
 
 
 def test_release_causality():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    state_at = {r.timestamp: r.payload["state"] for r in log.records
-                if r.kind == "interaction_state"}
+    state_at = {r["t"]: r["state"] for r in log
+                if r["kind"] == "interaction_state"}
     for record in _releases(log):
-        assert state_at[record.payload["start"]] != InteractionState.NEUTRAL.value
+        assert state_at[record["start"]] != InteractionState.NEUTRAL.value
 
 
 def test_replay_deterministic():
     _, log_a = _session(9, 40.0, [(10.0, 14.0, EpisodeKind.STRESS, 1.0)])
     _, log_b = _session(9, 40.0, [(10.0, 14.0, EpisodeKind.STRESS, 1.0)])
-    assert log_a.records == log_b.records
+    assert log_a == log_b
 
 
 def test_replay_records_time_ordered_and_kinds_valid():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    for prev, nxt in zip(log.records, log.records[1:]):
-        assert prev.timestamp <= nxt.timestamp
+    for prev, nxt in zip(log, log[1:]):
+        assert prev["t"] <= nxt["t"]
+    kinds = {r["kind"] for r in log}
+    assert kinds <= set(RECORD_KINDS)
+    assert "decision" not in kinds
+    assert {"release", "suppression", "ir_command"} <= kinds
 
 
 def test_replay_emits_ir_commands_for_each_release():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
     releases = _releases(log)
-    ir = [r for r in log.records if r.kind == "ir_command"]
+    ir = [r for r in log if r["kind"] == "ir_command"]
     assert len(ir) == 3 * len(releases)
-    by_command = [r.payload["command"] for r in ir]
+    by_command = [r["command"] for r in ir]
     assert by_command.count("power") == len(releases)
     assert by_command.count("shutdown") == len(releases)
 
@@ -255,8 +259,8 @@ def test_replay_logs_codes_of_an_overridden_table():
                                          "channel_5": 0x20DF50AF})
     config = dataclasses.replace(CFG, ir_table=table)
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)], config)
-    ir = [(r.timestamp, r.payload["command"], r.payload["code"])
-          for r in log.records if r.kind == "ir_command"]
+    ir = [(r["t"], r["command"], r["code"])
+          for r in log if r["kind"] == "ir_command"]
     for _, command, code in ir:
         assert command in COMMANDS
         assert code == f"0x{table.code_for(command):08X}"
@@ -266,8 +270,8 @@ def test_replay_logs_codes_of_an_overridden_table():
     assert releases and len(ir) == 3 * len(releases)
     sent = {(t, command) for t, command, _ in ir}
     for release in releases:
-        start, end = release.payload["start"], release.payload["end"]
-        assert (start, f"channel_{release.payload['channel']}") in sent
+        start, end = release["start"], release["end"]
+        assert (start, f"channel_{release['channel']}") in sent
         assert (start, "power") in sent
         assert (end, "shutdown") in sent
 
@@ -277,7 +281,7 @@ def test_replay_seed_changes_scent_choice_only_deterministically():
     config_b = dataclasses.replace(CFG, seed=1)
     _, log_a = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)], config_a)
     _, log_b = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)], config_b)
-    assert log_a.records == log_b.records
+    assert log_a == log_b
 
 
 def test_replay_short_trace_insufficient_calibration():
@@ -335,8 +339,23 @@ def test_every_accepted_ingest_config_replays(geometry):
 
 # -- summary -----------------------------------------------------------------
 
+SCENT_ON = {s.channel: s.key for s in CFG.vocabulary}
+
+
+def _release(start, channel, duration_s=8.0):
+    """A release on ``channel`` with its scent and its three IR commands."""
+    end = start + round(duration_s * 1000)
+    return [{"t": start, "kind": "release", "channel": channel,
+             "scent": SCENT_ON[channel], "start": start, "end": end,
+             "duration_s": duration_s}] + [
+        {"t": t, "kind": "ir_command", "command": command,
+         "code": f"0x{CFG.ir_table.code_for(command):08X}"}
+        for t, command in ((start, f"channel_{channel}"), (start, "power"),
+                           (end, "shutdown"))]
+
+
 def test_summarize_empty_log():
-    summary = summarize(EventLog([], CFG.scheduler, 60.0))
+    summary = summarize([], CFG)
     assert summary.releases == 0
     assert summary.per_channel == {}
     assert summary.violations == 0
@@ -345,7 +364,7 @@ def test_summarize_empty_log():
 
 def test_summarize_counts_channels_and_states():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    summary = summarize(log)
+    summary = summarize(log, CFG)
     assert summary.releases == len(_releases(log))
     assert sum(summary.per_channel.values()) == summary.releases
     assert summary.violations == 0
@@ -354,52 +373,87 @@ def test_summarize_counts_channels_and_states():
 
 
 def test_summarize_detects_overlap_and_cooldown_violations():
-    records = [
-        EventLogRecord(0, "decision", {"outcome": "scheduled"}),
-        EventLogRecord(0, "release",
-                       {"channel": 1, "start": 0, "end": 8000,
-                        "duration_s": 8.0}),
-        EventLogRecord(4000, "decision", {"outcome": "scheduled"}),
-        EventLogRecord(4000, "release",
-                       {"channel": 2, "start": 4000, "end": 12000,
-                        "duration_s": 8.0}),
-    ]
-    summary = summarize(EventLog(records, CFG.scheduler, 60.0))
+    records = sorted(_release(0, 1) + _release(4000, 2), key=lambda r: r["t"])
+    summary = summarize(records, CFG)
     assert summary.violations == 2  # overlap plus cooldown breach
 
 
 def test_summarize_per_channel_counts():
     records = []
     for k in range(3):
-        start = k * 1_000_000
-        records.append(EventLogRecord(start, "decision", {"outcome": "scheduled"}))
-        records.append(EventLogRecord(start, "release",
-                                      {"channel": 5, "start": start,
-                                       "end": start + 8000, "duration_s": 8.0}))
-    summary = summarize(EventLog(records, CFG.scheduler, 60.0))
+        records += _release(k * 1_000_000, 5)
+    summary = summarize(records, CFG)
     assert summary.per_channel == {5: 3}
     assert summary.violations == 0
 
 
 def test_summarize_rejects_out_of_order_log():
     records = [
-        EventLogRecord(5000, "interaction_state", {"state": "neutral"}),
-        EventLogRecord(1000, "interaction_state", {"state": "neutral"}),
+        {"t": 5000, "kind": "interaction_state", "state": "neutral"},
+        {"t": 1000, "kind": "interaction_state", "state": "neutral"},
     ]
     with pytest.raises(ValueError, match="order"):
-        summarize(EventLog(records, CFG.scheduler, 60.0))
+        summarize(records, CFG)
 
 
-def test_summarize_rejects_release_without_decision():
-    records = [
-        EventLogRecord(0, "release",
-                       {"channel": 1, "start": 0, "end": 8000,
-                        "duration_s": 8.0}),
-    ]
-    with pytest.raises(ValueError, match="decision"):
-        summarize(EventLog(records, CFG.scheduler, 60.0))
+def test_summarize_rejects_unknown_kind():
+    for kind in ("bogus", "decision"):
+        with pytest.raises(ValueError, match="unknown record kind"):
+            summarize([{"t": 0, "kind": kind}], CFG)
 
 
-def test_event_record_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        EventLogRecord(0, "bogus", {})
+def _drop_first(command):
+    def mutate(log):
+        log.remove(next(r for r in log if r.get("command") == command))
+    return mutate
+
+
+def _wrong_code(log):
+    record = next(r for r in log if r["kind"] == "ir_command")
+    record["code"] = f"0x{int(record['code'], 16) ^ 1:08X}"
+
+
+def _wrong_channel(log):
+    release = _releases(log)[0]
+    release["channel"] = release["channel"] % 8 + 1
+
+
+def _drop_select(log):
+    channel = _releases(log)[0]["channel"]
+    _drop_first(f"channel_{channel}")(log)
+
+
+@pytest.mark.parametrize("mutate, violations", [
+    (_drop_first("shutdown"), 1),
+    (_drop_first("power"), 1),
+    (_drop_select, 1),
+    (_wrong_code, 1),
+    (_wrong_channel, 2),  # not its scent's channel, and no select for it
+], ids=["no-shutdown", "no-power", "no-select", "wrong-code", "wrong-channel"])
+def test_summarize_audits_commands_and_channels(mutate, violations):
+    _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
+    assert summarize(log, CFG).violations == 0
+    mutate(log)
+    assert summarize(log, CFG).violations == violations
+
+
+def test_summarize_of_written_log_equals_summarize_of_replay(tmp_path, monkeypatch):
+    from scentctl.cli import CONFIG_ENV_VAR, main
+    from scentctl.ingest import render_context_csv, render_hr_csv, render_rr_csv
+
+    traces, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
+    for name, text in (("rr", render_rr_csv(traces.rr)),
+                       ("hr", render_hr_csv(traces.hr)),
+                       ("context", render_context_csv(traces.context))):
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    assert main(["replay", "--rr", str(tmp_path / "rr.csv"),
+                 "--hr", str(tmp_path / "hr.csv"),
+                 "--context", str(tmp_path / "context.csv"),
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "events.ndjson").read_text(encoding="utf-8")
+    stored = [json.loads(line) for line in lines.splitlines()]
+    assert stored == log
+    summary = summarize(log, CFG)
+    assert summary.releases > 0
+    assert summarize(stored, CFG) == summary
