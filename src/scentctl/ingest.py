@@ -6,24 +6,27 @@ features (RMSSD, SDNN, mean HR) expressed as baseline-normalized
 deviations, together with the contextual flags the classifier needs.
 
 All timestamps are integer milliseconds since session start. RR and HR
-are `Series` of immutable columns, with no object per sample. Everything
-here is a pure function over immutable data, safe from any thread.
+are `Series` of two read-only typed columns, 8 bytes per value, with no
+object per sample. Everything here is a pure function over immutable
+data, safe from any thread.
 
-Ingest is linear in its input. Parsing is one pass over the lines, in
-which ordinary rows take a cheap path. `window_features` builds its
-context lookup (each row's timestamp and the start of its active run)
-in one pass, then pays one bisect per window.
+Ingest is linear in its input. Parsing is one pass over the lines, split
+from the input a chunk at a time, in which ordinary rows take a cheap
+path. `window_features` builds its context lookup (each row's timestamp
+and the start of its active run) in one pass, then pays one bisect per
+window.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, pairwise
+from itertools import pairwise
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 # Physiologically plausible inter-beat interval range, ms.
 RR_MIN_MS = 300.0
@@ -48,6 +51,11 @@ DEFAULT_WINDOW_LEN_S = 120.0
 DEFAULT_STRIDE_S = 60.0
 DEFAULT_CALIBRATION_MINUTES = 5.0
 
+# The largest timestamp a `Series` column (signed 64-bit) can hold.
+_TS_MAX = 2**63 - 1
+# Parsing splits its input into lines about this many characters at a time.
+_CHUNK_CHARS = 1 << 16
+
 
 class StreamFormatError(ValueError):
     """A sample stream could not be parsed."""
@@ -68,19 +76,38 @@ class ActivityState(str, Enum):
     ACTIVE = "active"
 
 
+def _frozen(column: array) -> memoryview:
+    return memoryview(column).toreadonly()
+
+
 @dataclass(frozen=True, slots=True)
 class Series:
-    """An RR (ms) or HR (bpm) stream as two equal-length columns."""
+    """An RR (ms) or HR (bpm) stream as two equal-length columns.
 
-    timestamps: tuple[int, ...]
-    values: tuple[float, ...]
+    The columns are read-only memoryviews, 8 bytes per value: signed
+    64-bit timestamps (format ``q``) and doubles (format ``d``). Any other
+    sequence given is copied into a fresh column; slicing one is
+    zero-copy, and writing to one raises TypeError.
+    """
+
+    timestamps: memoryview
+    values: memoryview
 
     def __post_init__(self) -> None:
+        for name, code in (("timestamps", "q"), ("values", "d")):
+            column = getattr(self, name)
+            if not (isinstance(column, memoryview) and column.readonly
+                    and column.format == code and column.c_contiguous):
+                object.__setattr__(self, name, _frozen(array(code, column)))
         if len(self.timestamps) != len(self.values):
             raise ValueError("timestamps and values differ in length")
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    def __repr__(self) -> str:
+        return (f"Series(timestamps={tuple(self.timestamps)!r}, "
+                f"values={tuple(self.values)!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,6 +189,20 @@ def _looks_numeric(text: str) -> bool:
     return True
 
 
+def _lines(text: str) -> Iterator[str]:
+    """Yield ``text.splitlines()`` one chunk of ``text`` at a time.
+
+    Each cut falls right after a ``"\n"``, so it never splits a line
+    break (``"\r\n"`` included) and the lines are exactly those of
+    ``text.splitlines()``.
+    """
+    pos = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + _CHUNK_CHARS - 1) + 1 or len(text)
+        yield from text[pos:cut].splitlines()
+        pos = cut
+
+
 def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSample]:
     """Parse a line-oriented CSV sample stream.
 
@@ -170,24 +211,26 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
     a `ContextSample` list. A header line is optional and detected by a
     non-numeric first field.
 
-    Timestamps must be non-decreasing; rows sharing a timestamp collapse
-    to the last value. Raises StreamFormatError (with the offending line
-    number) on malformed rows or decreasing timestamps, and on an empty
-    stream.
+    Timestamps must be non-decreasing and fit in 64 bits; rows sharing a
+    timestamp collapse to the last value. Raises StreamFormatError (with
+    the offending line number) on malformed rows or decreasing or
+    out-of-range timestamps, and on an empty stream.
     """
     if schema not in ("rr", "hr", "context"):
         raise ValueError(f"unknown stream schema {schema!r}")
     columns = schema != "context"
     n_fields = 2 if columns else 3
 
-    timestamps: list[int] = []
-    values: list = []  # floats, or ContextSample rows for ``context``
+    timestamps = array("q")
+    # doubles, or ContextSample rows for ``context``
+    values: array | list = array("d") if columns else []
+    append_ts, append_value = timestamps.append, values.append
     prev_ts = -1  # below every valid timestamp
-    for line_no, raw in enumerate(stream.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(stream), start=1):
         if columns:
-            # The common row: two numbers, a later timestamp, a positive
-            # value. int() and float() strip the same whitespace as
-            # str.strip(), so it gives the checked path's sample; every
+            # The common row: two numbers, a later timestamp in range, a
+            # positive value. int() and float() strip the same whitespace
+            # as str.strip(), so it gives the checked path's sample; every
             # other row falls through to the checked path and its errors.
             a, _, b = raw.partition(",")
             try:
@@ -195,9 +238,9 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
             except ValueError:
                 pass
             else:
-                if ts > prev_ts and value > 0:
-                    timestamps.append(ts)
-                    values.append(value)
+                if prev_ts < ts <= _TS_MAX and value > 0:
+                    append_ts(ts)
+                    append_value(value)
                     prev_ts = ts
                     continue
         line = raw.strip()
@@ -216,6 +259,8 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
                 f"bad timestamp {fields[0]!r}", line_no) from None
         if ts < 0:
             raise StreamFormatError("negative timestamp", line_no)
+        if ts > _TS_MAX:
+            raise StreamFormatError(f"timestamp {ts} out of range", line_no)
 
         if columns:
             try:
@@ -240,13 +285,13 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
         if ts == prev_ts:
             values[-1] = value  # duplicate timestamp: last value wins
         else:
-            timestamps.append(ts)
-            values.append(value)
+            append_ts(ts)
+            append_value(value)
         prev_ts = ts
 
     if not values:
         raise StreamFormatError("empty stream")
-    return Series(tuple(timestamps), tuple(values)) if columns else values
+    return Series(_frozen(timestamps), _frozen(values)) if columns else values
 
 
 def parse_rr_stream(stream: str) -> Series:
@@ -278,11 +323,18 @@ def render_context_csv(samples: Sequence[ContextSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _select(samples: Series, keep: list[bool]) -> Series:
-    if all(keep):
+def _drop(samples: Series, dropped: list[int]) -> Series:
+    """``samples`` without the rows at the ascending indices ``dropped``."""
+    if not dropped:
         return samples  # immutable, so sharing it is safe
-    return Series(tuple(compress(samples.timestamps, keep)),
-                  tuple(compress(samples.values, keep)))
+    kept = array("q"), array("d")
+    for column, view in zip(kept, (samples.timestamps, samples.values)):
+        start = 0
+        for i in dropped:
+            column.frombytes(view[start:i].cast("B"))
+            start = i + 1
+        column.frombytes(view[start:].cast("B"))
+    return Series(*map(_frozen, kept))
 
 
 def reject_artifacts(samples: Series) -> Series:
@@ -293,20 +345,21 @@ def reject_artifacts(samples: Series) -> Series:
     filter is idempotent; an empty result is a signal to the caller, not
     an error.
     """
-    keep: list[bool] = []
+    dropped: list[int] = []
     last = None
-    for v in samples.values:
-        ok = (RR_MIN_MS <= v <= RR_MAX_MS
-              and (last is None or abs(v - last) <= RR_MAX_REL_CHANGE * last))
-        if ok:
+    for i, v in enumerate(samples.values):
+        if (RR_MIN_MS <= v <= RR_MAX_MS
+                and (last is None or abs(v - last) <= RR_MAX_REL_CHANGE * last)):
             last = v
-        keep.append(ok)
-    return _select(samples, keep)
+        else:
+            dropped.append(i)
+    return _drop(samples, dropped)
 
 
 def clean_hr(samples: Series) -> Series:
     """Drop heart-rate samples outside the [20, 250] bpm plausibility range."""
-    return _select(samples, [HR_MIN_BPM <= v <= HR_MAX_BPM for v in samples.values])
+    return _drop(samples, [i for i, v in enumerate(samples.values)
+                           if not HR_MIN_BPM <= v <= HR_MAX_BPM])
 
 
 def _std(xs: Sequence[float], ddof: int = 0) -> float:

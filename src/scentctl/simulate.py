@@ -278,8 +278,7 @@ def generate_session(
             ts, working,
             ActivityState.SEDENTARY if working else ActivityState.ACTIVE))
 
-    return Traces(Series(tuple(rr_ts), tuple(rr_v)),
-                  Series(tuple(hr_ts), tuple(hr_v)), context)
+    return Traces(Series(rr_ts, rr_v), Series(hr_ts, hr_v), context)
 
 
 def _round6(x: float) -> float:
@@ -429,7 +428,8 @@ def summarize(records: Iterable[dict], config: "Config") -> SessionSummary:
     end (each command follows its release in the log), and an
     `ir_command` whose code is not its command's configured word. A log
     that `replay` produced always scores zero. Raises ValueError on a
-    malformed log: records out of time order or of an unknown kind.
+    malformed log: records out of time order, of an unknown kind or
+    lacking a field the audit reads.
     """
     summary = SessionSummary()
     min_interval_ms = config.scheduler.min_interval_ms
@@ -441,48 +441,51 @@ def summarize(records: Iterable[dict], config: "Config") -> SessionSummary:
     prev: dict | None = None
 
     for record in records:
-        t, kind = record["t"], record["kind"]
-        _require(kind in RECORD_KINDS, f"unknown record kind {kind!r} at t={t}")
-        _require(prev_t is None or t >= prev_t, f"records out of order at t={t}")
-        prev_t = t
-        if kind == "release":
-            channel = record["channel"]
-            summary.releases += 1
-            summary.per_channel[channel] = summary.per_channel.get(channel, 0) + 1
-            if record["duration_s"] > config.scheduler.max_burst_s:
-                summary.violations += 1  # over-long burst
-            if channel_of.get(record["scent"]) != channel:
-                summary.violations += 1  # not its scent's channel
-            awaited.update([(record["start"], f"channel_{channel}"),
-                            (record["start"], "power"),
-                            (record["end"], "shutdown")])
-            if prev is not None:
-                if record["start"] < prev["end"]:
-                    summary.violations += 1  # overlap
-                gap_ms = record["start"] - prev["end"]
-                if gap_ms < min_interval_ms:
-                    summary.violations += 1  # cooldown breach
-                bucket = max(int(gap_ms / 1000.0 // 300) * 300, 0)
-                key = f"{bucket}-{bucket + 299}s"
-                summary.interval_histogram[key] = (
-                    summary.interval_histogram.get(key, 0) + 1)
-            prev = record
-        elif kind == "ir_command":
-            command = record["command"]
-            if awaited[t, command] > 1:
-                awaited[t, command] -= 1
-            else:
-                awaited.pop((t, command), None)
-            word = codes.get(command)
-            if word is None or record["code"] != f"0x{word:08X}":
-                summary.violations += 1  # not the configured word
-        elif kind == "suppression":
-            reason = record["reason"]
-            summary.suppressions[reason] = summary.suppressions.get(reason, 0) + 1
-        elif kind == "interaction_state":
-            state = record["state"]
-            summary.state_minutes[state] = (
-                summary.state_minutes.get(state, 0.0) + state_min)
+        try:
+            t, kind = record["t"], record["kind"]
+            _require(kind in RECORD_KINDS, f"unknown record kind {kind!r} at t={t}")
+            _require(prev_t is None or t >= prev_t, f"records out of order at t={t}")
+            prev_t = t
+            if kind == "release":
+                channel = record["channel"]
+                summary.releases += 1
+                summary.per_channel[channel] = summary.per_channel.get(channel, 0) + 1
+                if record["duration_s"] > config.scheduler.max_burst_s:
+                    summary.violations += 1  # over-long burst
+                if channel_of.get(record["scent"]) != channel:
+                    summary.violations += 1  # not its scent's channel
+                awaited.update([(record["start"], f"channel_{channel}"),
+                                (record["start"], "power"),
+                                (record["end"], "shutdown")])
+                if prev is not None:
+                    if record["start"] < prev["end"]:
+                        summary.violations += 1  # overlap
+                    gap_ms = record["start"] - prev["end"]
+                    if gap_ms < min_interval_ms:
+                        summary.violations += 1  # cooldown breach
+                    bucket = max(int(gap_ms / 1000.0 // 300) * 300, 0)
+                    key = f"{bucket}-{bucket + 299}s"
+                    summary.interval_histogram[key] = (
+                        summary.interval_histogram.get(key, 0) + 1)
+                prev = record
+            elif kind == "ir_command":
+                command = record["command"]
+                if awaited[t, command] > 1:
+                    awaited[t, command] -= 1
+                else:
+                    awaited.pop((t, command), None)
+                word = codes.get(command)
+                if word is None or record["code"] != f"0x{word:08X}":
+                    summary.violations += 1  # not the configured word
+            elif kind == "suppression":
+                reason = record["reason"]
+                summary.suppressions[reason] = summary.suppressions.get(reason, 0) + 1
+            elif kind == "interaction_state":
+                state = record["state"]
+                summary.state_minutes[state] = (
+                    summary.state_minutes.get(state, 0.0) + state_min)
+        except KeyError as missing:
+            _require(False, f"record at t={record.get('t')} lacks field {missing}")
 
     summary.violations += sum(awaited.values())  # commands never sent
     summary.state_minutes = {

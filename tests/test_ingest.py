@@ -6,12 +6,15 @@ import bisect
 import gc
 import math
 import random
+import tracemalloc
+from itertools import compress
 from statistics import fmean
 from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scentctl import ingest
 from scentctl.ingest import (
     DEFAULT_STRIDE_S,
     DEFAULT_WINDOW_LEN_S,
@@ -73,6 +76,31 @@ def test_series_len_is_row_count():
     assert len(Series((), ())) == 0
     assert len(_rr([800.0, 810.0, 790.0])) == 3
     assert len(parse_rr_stream("ts,rr\n0,800\n800,810\n800,805")) == 2
+
+
+def test_series_repr_shows_column_values():
+    assert repr(Series((0, 800), (800.0, 810.0))) == (
+        "Series(timestamps=(0, 800), values=(800.0, 810.0))")
+    assert repr(Series((), ())) == "Series(timestamps=(), values=())"
+
+
+def test_series_columns_are_read_only():
+    for series in (Series((0, 800), (800.0, 810.0)),
+                   parse_rr_stream("0,800\n800,810")):
+        with pytest.raises(TypeError):
+            series.values[0] = 1.0
+        with pytest.raises(TypeError):
+            series.timestamps[0] = 1
+        with pytest.raises(TypeError):
+            series.timestamps[:1][0] = 1  # a slice shares the same buffer
+        assert tuple(series.values) == (800.0, 810.0)
+
+
+def test_series_from_tuples_equals_parsed_series():
+    parsed = parse_rr_stream("0,800\n800,810.5\n1610,790")
+    built = Series((0, 800, 1610), (800.0, 810.5, 790.0))
+    assert built == parsed and parsed == built
+    assert built != Series((0, 800, 1610), (800.0, 810.5, 791.0))
 
 
 # -- parsing ----------------------------------------------------------------
@@ -154,6 +182,33 @@ def test_render_round_trip():
     assert parse_context_stream(render_context_csv(ctx)) == ctx
 
 
+def test_parse_timestamp_bounded_by_64_bits():
+    top = 2**63 - 1
+    assert parse_rr_stream(f"{top},800") == Series((top,), (800.0,))
+    for text in (f"0,800\n{top + 1},800", f"0,800\n {top + 1} ,800"):
+        with pytest.raises(StreamFormatError) as info:
+            parse_rr_stream(text)
+        assert info.value.line == 2
+        assert str(info.value) == f"line 2: timestamp {top + 1} out of range"
+
+
+def test_parse_and_filter_peak_memory_per_row():
+    # 200k rows, one artifact in 50, so the filter copies its columns.
+    rows = 200_000
+    text = "timestamp_ms,rr_ms\n" + "".join(
+        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\n"
+        for i in range(rows))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rr = reject_artifacts(parse_rr_stream(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rr) == rows - rows // 50
+    assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
+
+
 def test_parse_and_filter_build_no_per_sample_objects():
     rr_text = "timestamp_ms,rr_ms\n" + "".join(
         f"{i * 800},{800 + i % 7}.25\n" for i in range(50_000))
@@ -215,6 +270,37 @@ def test_reject_idempotent(values):
     samples = _rr(values)
     once = reject_artifacts(samples)
     assert reject_artifacts(once) == once
+
+
+def reference_select(samples: Series, keep: list[bool]) -> Series:
+    """The filters' row selection as it was, through `itertools.compress`."""
+    if all(keep):
+        return samples  # immutable, so sharing it is safe
+    return Series(tuple(compress(samples.timestamps, keep)),
+                  tuple(compress(samples.values, keep)))
+
+
+@st.composite
+def _keep_masks(draw):
+    """(values, keep): a column and one keep flag per value."""
+    values = draw(st.lists(st.floats(allow_nan=False), max_size=40))
+    n = len(values)
+    return values, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@example(([800.0], [False]))
+@example(([800.0, 810.0], [True, True]))
+@example(([800.0, 810.0, 820.0], [False, True, False]))
+@given(_keep_masks())
+def test_drop_matches_compress_reference(case):
+    values, keep = case
+    samples = _rr(values)
+    dropped = [i for i, k in enumerate(keep) if not k]
+    out = ingest._drop(samples, dropped)
+    ref = reference_select(samples, keep)
+    assert (tuple(out.timestamps), tuple(out.values)) == (
+        tuple(ref.timestamps), tuple(ref.values))
+    assert (out is samples) == (not dropped)
 
 
 # -- HRV features -----------------------------------------------------------
@@ -591,6 +677,31 @@ def test_parse_matches_line_by_line_reference(case):
     schema, text = case
     assert (_parse_outcome(parse_samples, schema, text)
             == _parse_outcome(reference_parse_samples, schema, text))
+
+
+@settings(max_examples=200)
+@given(_streams())
+def test_parse_matches_reference_when_cut_into_chunks(case):
+    schema, text = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_CHARS", 3)
+        assert (_parse_outcome(parse_samples, schema, text)
+                == _parse_outcome(reference_parse_samples, schema, text))
+
+
+# Every line boundary str.splitlines() knows, and text between them.
+_LINE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029", "", " ", "0", "12", "345"]
+
+
+@example("a\r\nb", 2)
+@example("\r\n\r\n", 1)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=40).map("".join),
+       st.integers(1, 8))
+def test_lines_match_splitlines(text, chunk_chars):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        assert list(ingest._lines(text)) == text.splitlines()
 
 
 @st.composite

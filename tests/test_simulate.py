@@ -402,6 +402,20 @@ def test_summarize_rejects_unknown_kind():
             summarize([{"t": 0, "kind": kind}], CFG)
 
 
+def test_summarize_names_a_release_lacking_a_field():
+    with pytest.raises(ValueError) as info:
+        summarize([{"t": 0, "kind": "release", "channel": 1}], CFG)
+    assert str(info.value) == (
+        "malformed event log: record at t=0 lacks field 'duration_s'")
+
+
+def test_summarize_names_a_record_lacking_its_time():
+    with pytest.raises(ValueError) as info:
+        summarize([{"kind": "interaction_state", "state": "neutral"}], CFG)
+    assert str(info.value) == (
+        "malformed event log: record at t=None lacks field 't'")
+
+
 def _drop_first(command):
     def mutate(log):
         log.remove(next(r for r in log if r.get("command") == command))
