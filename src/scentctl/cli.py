@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 from .config import Config, ConfigError, load_config
 from .estimator import InteractionState
@@ -83,29 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tables = sub.add_parser(
         "tables", help="print the scent vocabulary and state mapping")
-    p_tables.add_argument("--seed", type=int, help="accepted for uniformity")
     p_tables.set_defaults(handler=cmd_tables)
 
     p_validate = sub.add_parser("validate", help="validate a config file")
     p_validate.add_argument("--config", help="configuration file")
-    p_validate.add_argument("--seed", type=int, help="accepted for uniformity")
     p_validate.set_defaults(handler=cmd_validate)
 
     return parser
 
 
 def _config_path(args: argparse.Namespace) -> str | None:
-    explicit = getattr(args, "config", None)
-    if explicit:
-        return explicit
-    return os.environ.get(CONFIG_ENV_VAR) or None
+    return args.config or os.environ.get(CONFIG_ENV_VAR) or None
 
 
 def _load(args: argparse.Namespace) -> Config:
     config = load_config(_config_path(args))
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -113,15 +108,21 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_outputs(out_dir: Path, log: list[dict], summary) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "events.ndjson").open("w", encoding="utf-8") as handle:
-        for record in log:
+def _write_outputs(out_dir: Path, records: Iterable[dict], config: Config) -> dict:
+    """Write each record as it arrives and audit the same stream with
+    `summarize`; write the summary and return it."""
+    def written(handle: TextIO) -> Iterator[dict]:
+        for record in records:
             handle.write(json.dumps(record, sort_keys=True,
                                     separators=(",", ":")) + "\n")
+            yield record
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "events.ndjson").open("w", encoding="utf-8") as handle:
+        summary = summarize(written(handle), config)
     (out_dir / "summary.json").write_text(
-        json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return summary
 
 
 def _parse_blocks(text: str) -> SessionPlan:
@@ -171,14 +172,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     rr = parse_rr_stream(_read_text(args.rr))
     hr = parse_hr_stream(_read_text(args.hr)) if args.hr else Series((), ())
     context = parse_context_stream(_read_text(args.context)) if args.context else []
-    traces = Traces(rr, hr, context)
-
-    log = replay(traces, config)
-    summary = summarize(log, config)
+    records = replay(Traces(rr, hr, context), config)
     out_dir = Path(args.out)
-    _write_outputs(out_dir, log, summary)
+    summary = _write_outputs(out_dir, records, config)
     print(f"wrote {out_dir / 'events.ndjson'} and {out_dir / 'summary.json'} "
-          f"({summary.releases} releases, {summary.violations} violations)")
+          f"({summary['releases']} releases, {summary['violations']} violations)")
     return EXIT_OK
 
 
@@ -197,8 +195,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else EpisodeScript()
 
     traces = generate_session(config.seed, plan, script, config.simulator)
-    log = replay(traces, config)
-    summary = summarize(log, config)
+    records = replay(traces, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -206,12 +203,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     (out_dir / "hr.csv").write_text(render_hr_csv(traces.hr), encoding="utf-8")
     (out_dir / "context.csv").write_text(
         render_context_csv(traces.context), encoding="utf-8")
-    _write_outputs(out_dir, log, summary)
+    summary = _write_outputs(out_dir, records, config)
     work = sum(b.minutes for b in plan.blocks if b.kind is BlockKind.WORK)
     print(f"plan: {len(plan.blocks)} blocks, {plan.total_minutes:g} min "
           f"(work {work:g}, break {plan.total_minutes - work:g})")
     print(f"wrote traces, events, and summary to {out_dir} "
-          f"({summary.releases} releases, {summary.violations} violations)")
+          f"({summary['releases']} releases, {summary['violations']} violations)")
     return EXIT_OK
 
 

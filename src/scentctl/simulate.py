@@ -7,13 +7,12 @@ proportion to episode magnitude, fatigue mildly raises the mean. The
 model is the simplest one that exercises every interaction state; it
 makes no claim of physiological realism.
 
-`replay` drives traces through the whole pipeline (features, estimation,
-smoothing, classification, expression, scheduling, device commands) as a
-single-threaded event loop evaluating once per window stride, and emits
-a time-ordered event log: a list of records, each the object that
-becomes one `events.ndjson` line (`t` in ms, `kind`, kind-specific
-fields). `summarize` audits such a log against the actuation constraints
-and the configuration, and aggregates it for operators.
+`replay` calibrates on traces, then yields the whole pipeline's event log
+(features, estimation, classification, scheduling, device commands) in
+time order, each record as the loop, evaluating once per window stride,
+makes it. A record is one `events.ndjson` line (`t` in ms, `kind`, kind
+fields). `summarize` folds such a log into its `summary.json` object:
+operator aggregates and an audit against the constraints and config.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .estimator import (
     AVState,
@@ -37,6 +36,7 @@ from .ingest import (
     ActivityState,
     Baseline,
     ContextSample,
+    FeatureWindow,
     InsufficientDataError,
     Series,
     clean_hr,
@@ -285,12 +285,12 @@ def _round6(x: float) -> float:
     return round(x, 6)
 
 
-def replay(traces: Traces, config: "Config") -> list[dict]:
-    """Drive traces through the full pipeline and log every stage.
+def replay(traces: Traces, config: "Config") -> Iterator[dict]:
+    """Calibrate on the traces, then return the stream of their records.
 
-    The first calibration span of windows establishes the individual
-    baseline; evaluation (and any actuation) starts after it. Ingestion
-    errors propagate.
+    Filtering and the baseline of the first calibration span run before
+    this returns, so input errors raise here. The iterator evaluates each
+    later window as it is consumed and yields its records in time order.
     """
     rr = reject_artifacts(traces.rr)
     hr = clean_hr(traces.hr)
@@ -305,14 +305,22 @@ def replay(traces: Traces, config: "Config") -> list[dict]:
             f"{found}, but baseline calibration needs beats before "
             f"{calib_ms} ms; timestamps are milliseconds since session start")
 
-    provisional = window_features(
+    calibration = [w for w in window_features(
         rr, hr, traces.context, Baseline.provisional(),
-        ing.window_len_s, ing.stride_s)
-    calibration = [w for w in provisional if w.window_end <= calib_ms]
+        ing.window_len_s, ing.stride_s) if w.window_end <= calib_ms]
     baseline = compute_baseline(calibration)
     windows = window_features(
         rr, hr, traces.context, baseline, ing.window_len_s, ing.stride_s)
+    return _evaluate((w for w in windows if w.window_end > calib_ms), config)
 
+
+def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[dict]:
+    """Run the control loop once per window and yield its records.
+
+    A window's records carry its end as `t`, except a release's shutdown:
+    it waits in `held` until the first later window at or past its time,
+    or the loop's end. Releases never overlap, so at most one waits.
+    """
     est = config.estimator
     sched_cfg = config.scheduler
     horizon_ms = round(sched_cfg.repeat_check_horizon_s * 1000)
@@ -325,51 +333,54 @@ def replay(traces: Traces, config: "Config") -> list[dict]:
     st = SchedulerState()
     smoothed: AVState | None = None
     last_seen: dict[InteractionState, int] = {}
-    records: list[dict] = []
-
-    def log(t: int, kind: str, **fields) -> None:
-        records.append({"t": t, "kind": kind, **fields})
+    held: dict | None = None
 
     def issue(expr, cause: InteractionState, now: int,
-              still_holds: bool) -> None:
+              still_holds: bool) -> Iterator[dict]:
+        nonlocal held
         reason = suppression_reason(now, st, sched_cfg)
         if reason is not None:
-            log(now, "suppression", reason=reason, state=cause.value,
-                profile=expr.profile.value)
+            yield dict(t=now, kind="suppression", reason=reason,
+                       state=cause.value, profile=expr.profile.value)
             return
         scent = scents_by_key[select_scent(expr, history, rng)]
         command = request(expr, scent, now, st, sched_cfg, cause=cause,
                           still_holds=still_holds)
-        log(now, "release", channel=command.channel, scent=command.scent,
-            duty=command.duty, duration_s=command.duration_s,
-            start=command.start, end=command.end, cause=cause.value,
-            repeat_due=None if st.pending_repeat is None else st.pending_repeat.due)
+        due = None if st.pending_repeat is None else st.pending_repeat.due
+        yield dict(t=now, kind="release", channel=command.channel,
+                   scent=command.scent, duty=command.duty,
+                   duration_s=command.duration_s, start=command.start,
+                   end=command.end, cause=cause.value, repeat_due=due)
         for ts, key in command_sequence_for(command):
-            log(ts, "ir_command", command=key,
-                code=f"0x{table.code_for(key):08X}")
+            record = dict(t=ts, kind="ir_command", command=key,
+                          code=f"0x{table.code_for(key):08X}")
+            if ts > now:
+                held = record
+            else:
+                yield record
 
     for fw in windows:
-        if fw.window_end <= calib_ms:
-            continue
         now = fw.window_end
-        log(now, "feature",
-            window_start=fw.window_start,
-            rmssd=_round6(fw.rmssd), sdnn=_round6(fw.sdnn),
-            mean_hr=_round6(fw.mean_hr),
-            z_hr=_round6(fw.z_hr), z_rmssd=_round6(fw.z_rmssd),
-            z_sdnn=_round6(fw.z_sdnn),
-            work_minutes=_round6(fw.context.work_minutes_continuous),
-            session_active=fw.context.session_active,
-            activity=fw.context.activity_state.value)
+        if held is not None and held["t"] <= now:
+            yield held
+            held = None
+        yield dict(t=now, kind="feature", window_start=fw.window_start,
+                   rmssd=_round6(fw.rmssd), sdnn=_round6(fw.sdnn),
+                   mean_hr=_round6(fw.mean_hr),
+                   z_hr=_round6(fw.z_hr), z_rmssd=_round6(fw.z_rmssd),
+                   z_sdnn=_round6(fw.z_sdnn),
+                   work_minutes=_round6(fw.context.work_minutes_continuous),
+                   session_active=fw.context.session_active,
+                   activity=fw.context.activity_state.value)
 
         raw = estimate_av(fw, est)
         smoothed = raw if smoothed is None else smooth_av(smoothed, raw, est.alpha)
-        log(now, "av_state", arousal=_round6(smoothed.arousal),
-            valence=_round6(smoothed.valence))
+        yield dict(t=now, kind="av_state", arousal=_round6(smoothed.arousal),
+                   valence=_round6(smoothed.valence))
 
         state, tracker = classify(smoothed, fw.context, tracker, est)
         last_seen[state] = now
-        log(now, "interaction_state", state=state.value)
+        yield dict(t=now, kind="interaction_state", state=state.value)
 
         repeat = tick(now, st)
         if repeat is not None:
@@ -378,39 +389,17 @@ def replay(traces: Traces, config: "Config") -> list[dict]:
             fire = cause_holds if repeat.conditional else (
                 state is not InteractionState.NEUTRAL)
             if fire:
-                issue(repeat.expr, repeat.cause, now, cause_holds)
+                yield from issue(repeat.expr, repeat.cause, now, cause_holds)
             else:
-                log(now, "suppression", reason=SUPPRESSED_REPEAT_CANCELLED,
-                    state=repeat.cause.value, profile=repeat.expr.profile.value)
+                yield dict(t=now, kind="suppression", reason=SUPPRESSED_REPEAT_CANCELLED,
+                           state=repeat.cause.value, profile=repeat.expr.profile.value)
 
         expr = expression_for(state)
         if expr is not None:
-            issue(expr, state, now, True)
+            yield from issue(expr, state, now, True)
 
-    records.sort(key=lambda r: r["t"])  # stable: in-instant order kept
-    return records
-
-
-@dataclass(slots=True)
-class SessionSummary:
-    releases: int = 0
-    per_channel: dict[int, int] = field(default_factory=dict)
-    suppressions: dict[str, int] = field(default_factory=dict)
-    interval_histogram: dict[str, int] = field(default_factory=dict)
-    violations: int = 0
-    state_minutes: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "releases": self.releases,
-            "per_channel": {str(k): v for k, v in sorted(self.per_channel.items())},
-            "suppressions": dict(sorted(self.suppressions.items())),
-            "interval_histogram": dict(sorted(
-                self.interval_histogram.items(),
-                key=lambda kv: int(kv[0].split("-")[0]))),
-            "violations": self.violations,
-            "state_minutes": dict(sorted(self.state_minutes.items())),
-        }
+    if held is not None:
+        yield held
 
 
 def _require(condition: bool, message: str) -> None:
@@ -418,24 +407,29 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"malformed event log: {message}")
 
 
-def summarize(records: Iterable[dict], config: "Config") -> SessionSummary:
-    """Aggregate a log in one pass and count actuation-constraint violations.
+def summarize(records: Iterable[dict], config: "Config") -> dict:
+    """Audit a log in one pass and return its `summary.json` object.
 
     Each of these counts one violation: overlapping releases, an
     end-to-start gap below the minimum interval, an over-long burst, a
     release on a channel other than its scent's, a release missing its
     channel select or power command at its start or its shutdown at its
-    end (each command follows its release in the log), and an
-    `ir_command` whose code is not its command's configured word. A log
-    that `replay` produced always scores zero. Raises ValueError on a
-    malformed log: records out of time order, of an unknown kind or
-    lacking a field the audit reads.
+    end (each command follows its release in the log), an `ir_command`
+    that no release awaits at its time, and an `ir_command` whose code
+    is not its command's configured word. A log that `replay` produced
+    always scores zero. Raises ValueError on a malformed log: records
+    out of time order, of an unknown kind or lacking a field the audit
+    reads.
     """
-    summary = SessionSummary()
     min_interval_ms = config.scheduler.min_interval_ms
     state_min = config.ingest.stride_s / 60.0
     channel_of = {s.key: s.channel for s in config.vocabulary}
     codes = config.ir_table.codes
+    releases = violations = 0
+    per_channel: Counter[str] = Counter()
+    suppressions: Counter[str] = Counter()
+    histogram: Counter[str] = Counter()
+    state_minutes: Counter[str] = Counter()
     awaited: Counter[tuple[int, str]] = Counter()  # (t, command) not yet seen
     prev_t: int | None = None
     prev: dict | None = None
@@ -448,46 +442,46 @@ def summarize(records: Iterable[dict], config: "Config") -> SessionSummary:
             prev_t = t
             if kind == "release":
                 channel = record["channel"]
-                summary.releases += 1
-                summary.per_channel[channel] = summary.per_channel.get(channel, 0) + 1
+                releases += 1
+                per_channel[str(channel)] += 1
                 if record["duration_s"] > config.scheduler.max_burst_s:
-                    summary.violations += 1  # over-long burst
+                    violations += 1  # over-long burst
                 if channel_of.get(record["scent"]) != channel:
-                    summary.violations += 1  # not its scent's channel
+                    violations += 1  # not its scent's channel
                 awaited.update([(record["start"], f"channel_{channel}"),
                                 (record["start"], "power"),
                                 (record["end"], "shutdown")])
                 if prev is not None:
                     if record["start"] < prev["end"]:
-                        summary.violations += 1  # overlap
+                        violations += 1  # overlap
                     gap_ms = record["start"] - prev["end"]
                     if gap_ms < min_interval_ms:
-                        summary.violations += 1  # cooldown breach
+                        violations += 1  # cooldown breach
                     bucket = max(int(gap_ms / 1000.0 // 300) * 300, 0)
-                    key = f"{bucket}-{bucket + 299}s"
-                    summary.interval_histogram[key] = (
-                        summary.interval_histogram.get(key, 0) + 1)
+                    histogram[f"{bucket}-{bucket + 299}s"] += 1
                 prev = record
             elif kind == "ir_command":
                 command = record["command"]
-                if awaited[t, command] > 1:
-                    awaited[t, command] -= 1
-                else:
-                    awaited.pop((t, command), None)
+                left = awaited.pop((t, command), 0)
+                if left > 1:
+                    awaited[t, command] = left - 1
+                elif not left:
+                    violations += 1  # stray: actuates outside any release
                 word = codes.get(command)
                 if word is None or record["code"] != f"0x{word:08X}":
-                    summary.violations += 1  # not the configured word
+                    violations += 1  # not the configured word
             elif kind == "suppression":
-                reason = record["reason"]
-                summary.suppressions[reason] = summary.suppressions.get(reason, 0) + 1
+                suppressions[record["reason"]] += 1
             elif kind == "interaction_state":
-                state = record["state"]
-                summary.state_minutes[state] = (
-                    summary.state_minutes.get(state, 0.0) + state_min)
+                state_minutes[record["state"]] += state_min
         except KeyError as missing:
             _require(False, f"record at t={record.get('t')} lacks field {missing}")
 
-    summary.violations += sum(awaited.values())  # commands never sent
-    summary.state_minutes = {
-        k: round(v, 6) for k, v in summary.state_minutes.items()}
-    return summary
+    return {
+        "releases": releases,
+        "per_channel": dict(per_channel),
+        "suppressions": dict(suppressions),
+        "interval_histogram": dict(histogram),
+        "violations": violations + sum(awaited.values()),  # commands never sent
+        "state_minutes": {k: round(v, 6) for k, v in state_minutes.items()},
+    }

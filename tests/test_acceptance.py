@@ -65,7 +65,7 @@ def _scripted(seed, work_min, episodes):
     plan = SessionPlan((SessionBlock(BlockKind.WORK, work_min),))
     script = EpisodeScript(tuple(Episode(*e) for e in episodes))
     traces = generate_session(seed, plan, script, CFG.simulator)
-    log = replay(traces, CFG)
+    log = list(replay(traces, CFG))
     releases = [r for r in log if r["kind"] == "release"]
     return log, releases
 
@@ -419,8 +419,7 @@ def test_a11_replayed_logs_audit_clean():
             Episode(90.0, 10.0, EpisodeKind.STRESS, 0.5),
         ))
         traces = generate_session(seed, plan, script, CFG.simulator)
-        log = replay(traces, CFG)
-        summary = summarize(log, CFG)
-        assert summary.violations == 0
-        checked += summary.releases
+        summary = summarize(replay(traces, CFG), CFG)
+        assert summary["violations"] == 0
+        checked += summary["releases"]
     _ok(f"replay-audit-clean ({checked} releases across 8 sessions)")

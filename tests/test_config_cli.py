@@ -645,6 +645,16 @@ def test_cli_replay_epoch_ms_hr_trace_finishes(tmp_path):
                for line in with_hr[len(rr_only):])
 
 
+def test_cli_replay_late_first_beat_exits_2_without_output(tmp_path, capsys):
+    # 20 minutes of beats that start 10 minutes in, after calibration ends
+    rr = _write(tmp_path, "rr.csv", "".join(
+        f"{600_000 + i * 800},800\n" for i in range(1500)))
+    out = tmp_path / "x"
+    assert main(["replay", "--rr", rr, "--out", str(out)]) == 2
+    assert "first kept RR beat is at 600000 ms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_replay_sub_millisecond_stride_exits_3(tmp_path):
     _, out = _synth(tmp_path, "source")
     config = _write(tmp_path, "tiny.ini", "[ingest]\nstride_s = 0.0004\n")
@@ -712,6 +722,14 @@ def test_cli_tables_stable(capsys):
     first = capsys.readouterr().out
     main(["tables"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", ["tables", "validate"])
+def test_cli_seed_is_refused_where_it_does_nothing(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_cli_synth_config_seed_used(tmp_path):

@@ -3,18 +3,49 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scentctl.config import Config, IngestConfig
-from scentctl.estimator import InteractionState
-from scentctl.ingest import Series
-from scentctl.irproto import COMMANDS
-from scentctl.scents import PROFILE_MEMBERS, Profile
+from scentctl.estimator import (
+    AVState,
+    InteractionState,
+    PersistenceTracker,
+    classify,
+    estimate_av,
+    smooth_av,
+)
+from scentctl.ingest import (
+    Baseline,
+    InsufficientDataError,
+    Series,
+    clean_hr,
+    compute_baseline,
+    reject_artifacts,
+    window_features,
+)
+from scentctl.irproto import COMMANDS, command_sequence_for
+from scentctl.scents import (
+    PROFILE_MEMBERS,
+    Profile,
+    Rhythm,
+    SelectionHistory,
+    expression_for,
+    select_scent,
+)
+from scentctl.scheduler import (
+    SchedulerConfig,
+    SchedulerState,
+    request,
+    suppression_reason,
+    tick,
+)
 from scentctl.simulate import (
     BREAK_BLOCK_MAX,
     BREAK_BLOCK_MIN,
@@ -25,12 +56,14 @@ from scentctl.simulate import (
     Episode,
     EpisodeKind,
     RECORD_KINDS,
+    SUPPRESSED_REPEAT_CANCELLED,
     EpisodeScript,
     ScriptError,
     SessionBlock,
     SessionPlan,
     default_plan,
     generate_session,
+    _round6,
     replay,
     summarize,
 )
@@ -42,7 +75,7 @@ def _session(seed, work_min, episodes, config=CFG):
     plan = SessionPlan((SessionBlock(BlockKind.WORK, work_min),))
     script = EpisodeScript(tuple(Episode(*e) for e in episodes))
     traces = generate_session(seed, plan, script, config.simulator)
-    return traces, replay(traces, config)
+    return traces, list(replay(traces, config))
 
 
 def _releases(log):
@@ -217,7 +250,7 @@ def test_two_stress_peaks_one_release():
     releases = _releases(log)
     assert len(releases) == 1
     summary = summarize(log, CFG)
-    assert summary.suppressions.get("cooldown", 0) >= 1
+    assert summary["suppressions"].get("cooldown", 0) >= 1
 
 
 def test_release_causality():
@@ -334,7 +367,7 @@ def test_every_accepted_ingest_config_replays(geometry):
         ingest = IngestConfig(window, stride, minutes)
     except ValueError:
         return  # refused configs are checked by validate's tests
-    replay(_CLEAN_20_MIN, dataclasses.replace(CFG, ingest=ingest))
+    list(replay(_CLEAN_20_MIN, dataclasses.replace(CFG, ingest=ingest)))
 
 
 # -- summary -----------------------------------------------------------------
@@ -356,26 +389,26 @@ def _release(start, channel, duration_s=8.0):
 
 def test_summarize_empty_log():
     summary = summarize([], CFG)
-    assert summary.releases == 0
-    assert summary.per_channel == {}
-    assert summary.violations == 0
-    assert summary.state_minutes == {}
+    assert summary["releases"] == 0
+    assert summary["per_channel"] == {}
+    assert summary["violations"] == 0
+    assert summary["state_minutes"] == {}
 
 
 def test_summarize_counts_channels_and_states():
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
     summary = summarize(log, CFG)
-    assert summary.releases == len(_releases(log))
-    assert sum(summary.per_channel.values()) == summary.releases
-    assert summary.violations == 0
-    assert summary.state_minutes.get("elevated_stress_persistent", 0) > 0
-    assert summary.interval_histogram  # at least one inter-release gap
+    assert summary["releases"] == len(_releases(log))
+    assert sum(summary["per_channel"].values()) == summary["releases"]
+    assert summary["violations"] == 0
+    assert summary["state_minutes"].get("elevated_stress_persistent", 0) > 0
+    assert summary["interval_histogram"]  # at least one inter-release gap
 
 
 def test_summarize_detects_overlap_and_cooldown_violations():
     records = sorted(_release(0, 1) + _release(4000, 2), key=lambda r: r["t"])
     summary = summarize(records, CFG)
-    assert summary.violations == 2  # overlap plus cooldown breach
+    assert summary["violations"] == 2  # overlap plus cooldown breach
 
 
 def test_summarize_per_channel_counts():
@@ -383,8 +416,8 @@ def test_summarize_per_channel_counts():
     for k in range(3):
         records += _release(k * 1_000_000, 5)
     summary = summarize(records, CFG)
-    assert summary.per_channel == {5: 3}
-    assert summary.violations == 0
+    assert summary["per_channel"] == {"5": 3}
+    assert summary["violations"] == 0
 
 
 def test_summarize_rejects_out_of_order_log():
@@ -442,13 +475,25 @@ def _drop_select(log):
     (_drop_first("power"), 1),
     (_drop_select, 1),
     (_wrong_code, 1),
-    (_wrong_channel, 2),  # not its scent's channel, and no select for it
+    # not its scent's channel, no select for it, and the old select is stray
+    (_wrong_channel, 3),
 ], ids=["no-shutdown", "no-power", "no-select", "wrong-code", "wrong-channel"])
 def test_summarize_audits_commands_and_channels(mutate, violations):
     _, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    assert summarize(log, CFG).violations == 0
+    assert summarize(log, CFG)["violations"] == 0
     mutate(log)
-    assert summarize(log, CFG).violations == violations
+    assert summarize(log, CFG)["violations"] == violations
+
+
+def test_summarize_counts_stray_ir_commands():
+    power = {"t": 0, "kind": "ir_command", "command": "power",
+             "code": f"0x{CFG.ir_table.code_for('power'):08X}"}
+    assert summarize([power], CFG)["violations"] == 1
+    records = _release(0, 5)
+    assert summarize(records, CFG)["violations"] == 0
+    shutdown_t = records[-1]["t"]
+    late = dict(power, t=shutdown_t + 1000)
+    assert summarize(records + [late], CFG)["violations"] == 1
 
 
 def test_summarize_of_written_log_equals_summarize_of_replay(tmp_path, monkeypatch):
@@ -469,5 +514,186 @@ def test_summarize_of_written_log_equals_summarize_of_replay(tmp_path, monkeypat
     stored = [json.loads(line) for line in lines.splitlines()]
     assert stored == log
     summary = summarize(log, CFG)
-    assert summary.releases > 0
+    assert summary["releases"] > 0
     assert summarize(stored, CFG) == summary
+    written = (tmp_path / "out" / "summary.json").read_text(encoding="utf-8")
+    assert json.loads(written) == summary
+
+
+# -- the record stream against the sort-based replay -------------------------
+#
+# The reference below is a verbatim copy of the `replay` that logged each
+# shutdown at its release with a future time and sorted the whole log at
+# the end, renamed with a `_ref` prefix. The stream must yield the same
+# records in the same order, so the same summary, on every input.
+
+def _ref_replay(traces: Traces, config: "Config") -> list[dict]:
+    """Drive traces through the full pipeline and log every stage.
+
+    The first calibration span of windows establishes the individual
+    baseline; evaluation (and any actuation) starts after it. Ingestion
+    errors propagate.
+    """
+    rr = reject_artifacts(traces.rr)
+    hr = clean_hr(traces.hr)
+    ing = config.ingest
+    calib_ms = round(ing.calibration_minutes * 60000)
+    # Every calibration window ends by calib_ms, so no later beat can
+    # calibrate; failing here spares windowing an absolute-time trace.
+    if not rr or rr.timestamps[0] >= calib_ms:
+        found = (f"the first kept RR beat is at {rr.timestamps[0]} ms" if rr
+                 else "no RR beat is kept")
+        raise InsufficientDataError(
+            f"{found}, but baseline calibration needs beats before "
+            f"{calib_ms} ms; timestamps are milliseconds since session start")
+
+    provisional = window_features(
+        rr, hr, traces.context, Baseline.provisional(),
+        ing.window_len_s, ing.stride_s)
+    calibration = [w for w in provisional if w.window_end <= calib_ms]
+    baseline = compute_baseline(calibration)
+    windows = window_features(
+        rr, hr, traces.context, baseline, ing.window_len_s, ing.stride_s)
+
+    est = config.estimator
+    sched_cfg = config.scheduler
+    horizon_ms = round(sched_cfg.repeat_check_horizon_s * 1000)
+    table = config.ir_table
+    scents_by_key = {s.key: s for s in config.vocabulary}
+
+    rng = random.Random(config.seed)
+    tracker = PersistenceTracker()
+    history = SelectionHistory()
+    st = SchedulerState()
+    smoothed: AVState | None = None
+    last_seen: dict[InteractionState, int] = {}
+    records: list[dict] = []
+
+    def log(t: int, kind: str, **fields) -> None:
+        records.append({"t": t, "kind": kind, **fields})
+
+    def issue(expr, cause: InteractionState, now: int,
+              still_holds: bool) -> None:
+        reason = suppression_reason(now, st, sched_cfg)
+        if reason is not None:
+            log(now, "suppression", reason=reason, state=cause.value,
+                profile=expr.profile.value)
+            return
+        scent = scents_by_key[select_scent(expr, history, rng)]
+        command = request(expr, scent, now, st, sched_cfg, cause=cause,
+                          still_holds=still_holds)
+        log(now, "release", channel=command.channel, scent=command.scent,
+            duty=command.duty, duration_s=command.duration_s,
+            start=command.start, end=command.end, cause=cause.value,
+            repeat_due=None if st.pending_repeat is None else st.pending_repeat.due)
+        for ts, key in command_sequence_for(command):
+            log(ts, "ir_command", command=key,
+                code=f"0x{table.code_for(key):08X}")
+
+    for fw in windows:
+        if fw.window_end <= calib_ms:
+            continue
+        now = fw.window_end
+        log(now, "feature",
+            window_start=fw.window_start,
+            rmssd=_round6(fw.rmssd), sdnn=_round6(fw.sdnn),
+            mean_hr=_round6(fw.mean_hr),
+            z_hr=_round6(fw.z_hr), z_rmssd=_round6(fw.z_rmssd),
+            z_sdnn=_round6(fw.z_sdnn),
+            work_minutes=_round6(fw.context.work_minutes_continuous),
+            session_active=fw.context.session_active,
+            activity=fw.context.activity_state.value)
+
+        raw = estimate_av(fw, est)
+        smoothed = raw if smoothed is None else smooth_av(smoothed, raw, est.alpha)
+        log(now, "av_state", arousal=_round6(smoothed.arousal),
+            valence=_round6(smoothed.valence))
+
+        state, tracker = classify(smoothed, fw.context, tracker, est)
+        last_seen[state] = now
+        log(now, "interaction_state", state=state.value)
+
+        repeat = tick(now, st)
+        if repeat is not None:
+            seen = last_seen.get(repeat.cause)
+            cause_holds = seen is not None and now - seen <= horizon_ms
+            fire = cause_holds if repeat.conditional else (
+                state is not InteractionState.NEUTRAL)
+            if fire:
+                issue(repeat.expr, repeat.cause, now, cause_holds)
+            else:
+                log(now, "suppression", reason=SUPPRESSED_REPEAT_CANCELLED,
+                    state=repeat.cause.value, profile=repeat.expr.profile.value)
+
+        expr = expression_for(state)
+        if expr is not None:
+            issue(expr, state, now, True)
+
+    records.sort(key=lambda r: r["t"])  # stable: in-instant order kept
+    return records
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Fail the enclosed block with TimeoutError once it runs ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"example ran over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _loop_case(seed, episodes, stride_s, **scheduler):
+    """A 55-minute scripted session and a config with that stride and
+    scheduler; the seed draws both the beats and the scents."""
+    config = dataclasses.replace(
+        CFG, scheduler=SchedulerConfig(**scheduler),
+        ingest=IngestConfig(stride_s=stride_s), seed=seed)
+    plan = SessionPlan((SessionBlock(BlockKind.WORK, 55.0),))
+    script = EpisodeScript(tuple(Episode(*e) for e in episodes))
+    return generate_session(seed, plan, script, config.simulator), config
+
+
+@st.composite
+def _loop_cases(draw):
+    """Stress, then fatigue, with a config drawn to release, repeat and
+    cancel often: stride 1-60 s, bursts from sub-millisecond (end ==
+    start) up to max_burst_s, minimum interval 1-600 s, repeat horizon
+    0-120 s."""
+    max_burst = draw(st.floats(1e-4, 30))
+    bursts = {rhythm: draw(st.floats(1e-4, max_burst)) for rhythm in Rhythm}
+    episodes = [
+        (draw(st.floats(6, 12)), draw(st.floats(3, 15)), EpisodeKind.STRESS,
+         draw(st.floats(0.7, 1))),
+        (draw(st.floats(31, 35)), draw(st.floats(3, 15)), EpisodeKind.FATIGUE,
+         draw(st.floats(0.7, 1)))]
+    return _loop_case(
+        draw(st.integers(0, 2**16)), episodes, draw(st.floats(1, 60)),
+        min_interval_s=draw(st.floats(1, 600)), max_burst_s=max_burst,
+        burst_duration_s=bursts, repeat_check_horizon_s=draw(st.floats(0, 120)))
+
+
+# Stress to the end of the session with a 1 s interval releases at about
+# every other window, or at every window when a burst is under the stride.
+_SUSTAINED = [(8.0, 47.0, EpisodeKind.STRESS, 1.0)]
+
+
+@settings(max_examples=25, deadline=None)
+@example(_loop_case(1, _SUSTAINED, 30.0, min_interval_s=1.0,  # end on a window end
+                    burst_duration_s=dict.fromkeys(Rhythm, 30.0)))
+@example(_loop_case(1, _SUSTAINED, 60.0, min_interval_s=1.0,  # end after the last window
+                    burst_duration_s=dict.fromkeys(Rhythm, 30.0)))
+@example(_loop_case(1, _SUSTAINED, 1.0, min_interval_s=1.0,  # end == start
+                    burst_duration_s=dict.fromkeys(Rhythm, 0.0004)))
+@given(_loop_cases())
+def test_replay_stream_matches_sorted_reference(case):
+    traces, config = case
+    with _time_bound(30):
+        stream = list(replay(traces, config))
+        expected = _ref_replay(traces, config)
+    assert stream == expected
+    assert summarize(stream, config) == summarize(expected, config)
