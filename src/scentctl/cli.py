@@ -254,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     try:
         return args.handler(args)
-    except (StreamFormatError, InsufficientDataError, FileNotFoundError) as exc:
+    except (StreamFormatError, InsufficientDataError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConfigError, ScriptError) as exc:

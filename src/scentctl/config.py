@@ -8,10 +8,10 @@ absent) file is valid. Sections and keys:
     [estimator]  a1 a2 v1 v2 v3, alpha, theta_a, theta_v, theta_mild,
                  persistence_threshold_s, recovery_window_s,
                  low_alertness_work_minutes
-    [scheduler]  min_interval_s, max_burst_s, repeat_check_horizon_s,
+    [scheduler]  min_interval_s, max_burst_s,
                  duty_low, duty_low_medium, duty_medium, duty_medium_high,
                  burst_single_brief_s, burst_repeated_low_frequency_s,
-                 burst_brief_repeat_if_needed_s
+                 burst_brief_repeat_if_needed_s, repeat_check_horizon_s
     [scent]      <scent_key>.channel = 1..8   (assignment must stay a
                  permutation; duplicates are rejected)
     [ir]         codes.<command> = <hex word>, command one of power,
@@ -20,9 +20,11 @@ absent) file is valid. Sections and keys:
                  stress_jitter_drop, fatigue_rr_gain, fatigue_jitter_gain,
                  hr_noise_bpm, hr_cadence_s, context_cadence_s
 
-Unknown sections or keys are rejected so typos fail loudly. A value may
-carry an inline `;` or `#` comment. One table applies the sections in the
-order above, so a file with several bad sections reports the first.
+Each key of [ingest], [estimator], [scheduler] and [simulator] is the
+field of that name in the section's config class. Unknown sections or
+keys are rejected so typos fail loudly. A value may carry an inline `;`
+or `#` comment. One table applies the sections in the order above, so a
+file with several bad sections reports the first.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .ingest import (
     DEFAULT_WINDOW_LEN_S,
 )
 from .irproto import IRCodeTable
-from .scents import Intensity, Rhythm, Scent, vocabulary
+from .scents import Scent, vocabulary
 from .scheduler import SchedulerConfig
 from .simulate import SimulatorConfig
 
@@ -82,10 +84,6 @@ class Config:
     seed: int = 0
 
 
-_DUTY_KEYS = {f"duty_{level.value}": level for level in Intensity}
-_BURST_KEYS = {f"burst_{rhythm.value}_s": rhythm for rhythm in Rhythm}
-
-
 def _number(key: str, raw: str, kind: type) -> float | int:
     try:
         return int(raw, 0) if kind is int else float(raw)
@@ -112,22 +110,6 @@ def _general(seed: int, items) -> int:
     return seed
 
 
-def _scheduler(base: SchedulerConfig, items) -> SchedulerConfig:
-    duty = dict(base.duty_map)
-    burst = dict(base.burst_duration_s)
-    plain: dict[str, float] = {}
-    for key, raw in items:
-        if key in _DUTY_KEYS:
-            duty[_DUTY_KEYS[key]] = _number(key, raw, float)
-        elif key in _BURST_KEYS:
-            burst[_BURST_KEYS[key]] = _number(key, raw, float)
-        elif key in ("min_interval_s", "max_burst_s", "repeat_check_horizon_s"):
-            plain[key] = _number(key, raw, float)
-        else:
-            raise ValueError(f"unknown key {key!r}")
-    return replace(base, duty_map=duty, burst_duration_s=burst, **plain)
-
-
 def _scent(_current, items) -> tuple[Scent, ...]:
     overrides: dict[str, int] = {}
     for key, raw in items:
@@ -152,7 +134,7 @@ _SECTIONS = {
     "general": ("seed", _general),
     "ingest": ("ingest", _fields),
     "estimator": ("estimator", _fields),
-    "scheduler": ("scheduler", _scheduler),
+    "scheduler": ("scheduler", _fields),
     "scent": ("vocabulary", _scent),
     "ir": ("ir_table", _ir),
     "simulator": ("simulator", _fields),

@@ -8,6 +8,11 @@ queued; the only queued follow-ups are rhythm-driven repeats.
 `suppression_reason` is the one source of why a request is refused;
 `request` applies it itself, so no caller can bypass the constraints.
 
+`SchedulerConfig` is the `[scheduler]` config section, one field per
+key: the duty of an intensity is `duty_<intensity>`, the burst length
+of a rhythm `burst_<rhythm>_s`, and building a config checks that every
+`Intensity` and `Rhythm` member has its field in range.
+
 Repeat mechanics: `request` arms the repeat of the release it admits.
 A repeating rhythm whose causing state still holds leaves one pending
 repeat due at the release end plus the minimum interval; any other
@@ -25,28 +30,13 @@ are immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
 
 from .estimator import InteractionState
 from .scents import Intensity, Rhythm, Scent, ScentExpression
 
 DEFAULT_MIN_INTERVAL_S = 900.0
 DEFAULT_MAX_BURST_S = 30.0
-
-DEFAULT_DUTY_MAP: Mapping[Intensity, float] = MappingProxyType({
-    Intensity.LOW: 0.30,
-    Intensity.LOW_MEDIUM: 0.45,
-    Intensity.MEDIUM: 0.60,
-    Intensity.MEDIUM_HIGH: 0.80,
-})
-
-DEFAULT_BURST_DURATION_S: Mapping[Rhythm, float] = MappingProxyType({
-    Rhythm.SINGLE_BRIEF: 8.0,
-    Rhythm.REPEATED_LOW_FREQUENCY: 12.0,
-    Rhythm.BRIEF_REPEAT_IF_NEEDED: 8.0,
-})
 
 SUPPRESSED_COOLDOWN = "cooldown"
 SUPPRESSED_CHANNEL_ACTIVE = "channel_active"
@@ -56,16 +46,17 @@ class TimeRegressionError(ValueError):
     """The scheduler clock was driven backwards."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchedulerConfig:
     min_interval_s: float = DEFAULT_MIN_INTERVAL_S
     max_burst_s: float = DEFAULT_MAX_BURST_S
-    # Factories return the shared read-only proxies: dataclasses reject
-    # unhashable plain defaults (Python >= 3.11).
-    duty_map: Mapping[Intensity, float] = field(
-        default_factory=lambda: DEFAULT_DUTY_MAP)
-    burst_duration_s: Mapping[Rhythm, float] = field(
-        default_factory=lambda: DEFAULT_BURST_DURATION_S)
+    duty_low: float = 0.30
+    duty_low_medium: float = 0.45
+    duty_medium: float = 0.60
+    duty_medium_high: float = 0.80
+    burst_single_brief_s: float = 8.0
+    burst_repeated_low_frequency_s: float = 12.0
+    burst_brief_repeat_if_needed_s: float = 8.0
     # How stale the causing state may be when a conditional repeat comes
     # due; 0 means it must hold at the due instant itself.
     repeat_check_horizon_s: float = 0.0
@@ -79,11 +70,11 @@ class SchedulerConfig:
         if not 0 < self.max_burst_s <= 30:
             raise ValueError("max_burst_s must be in (0, 30] s")
         for level in Intensity:
-            duty = self.duty_map.get(level)
+            duty = getattr(self, f"duty_{level.value}", None)
             if duty is None or not 0 < duty <= 1:
                 raise ValueError(f"duty for {level.value} must be in (0, 1]")
         for rhythm in Rhythm:
-            dur = self.burst_duration_s.get(rhythm)
+            dur = getattr(self, f"burst_{rhythm.value}_s", None)
             if dur is None or not 0 < dur <= self.max_burst_s:
                 raise ValueError(
                     f"burst duration for {rhythm.value} must be in (0, max_burst_s]")
@@ -101,7 +92,6 @@ class ReleaseCommand:
     channel: int
     duty: float
     duration_s: float
-    cause: InteractionState
     scent: str
 
     @property
@@ -153,10 +143,10 @@ def request(
     """Request a release at ``now``; schedule it if the constraints allow.
 
     Returns None, leaving the state untouched, when `suppression_reason`
-    refuses it. On success the command's duty comes from the intensity
-    map and its duration from the rhythm map, the last release end is
-    updated, and the pending repeat is armed for a repeating rhythm whose
-    cause ``still_holds``, else cleared. The interval boundary is
+    refuses it. On success the command's duty is the config's
+    `duty_<intensity>` and its duration its `burst_<rhythm>_s`, the last
+    release end is updated, and the pending repeat is armed for a
+    repeating rhythm whose cause ``still_holds``, else cleared. The interval boundary is
     inclusive: a request exactly min_interval after the previous release
     end is scheduled.
     """
@@ -165,9 +155,8 @@ def request(
     command = ReleaseCommand(
         start=now,
         channel=scent.channel,
-        duty=cfg.duty_map[expr.intensity],
-        duration_s=cfg.burst_duration_s[expr.rhythm],
-        cause=cause,
+        duty=getattr(cfg, f"duty_{expr.intensity.value}"),
+        duration_s=getattr(cfg, f"burst_{expr.rhythm.value}_s"),
         scent=scent.key,
     )
     st.last_release_end = command.end

@@ -26,6 +26,7 @@ from scentctl.ingest import ContextFlags, FeatureWindow, compute_rmssd, compute_
 from scentctl.irproto import COMMANDS, IRCodeTable, decode_frame, encode_frame
 from scentctl.scents import (
     PROFILE_MEMBERS,
+    Intensity,
     Profile,
     SelectionHistory,
     expression_for,
@@ -146,7 +147,8 @@ def test_a02_cooldown_and_exclusivity_over_randomized_sessions():
 
 def test_a03_each_state_yields_its_profile_output():
     """Scripted sessions drive every state to its mapped profile output."""
-    duty = CFG.scheduler.duty_map
+    duty = {level: getattr(CFG.scheduler, f"duty_{level.value}")
+            for level in Intensity}
 
     # sustained strain: forest profile, medium-high duty, repeat at +900 s
     _, releases = _scripted(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])

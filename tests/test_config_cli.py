@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -83,8 +83,8 @@ rr_mean_ms = 850
     assert config.ingest.window_len_s == 180.0
     assert config.estimator.alpha == 0.5
     assert config.scheduler.min_interval_s == 600.0
-    assert config.scheduler.duty_map[Intensity.MEDIUM_HIGH] == 0.9
-    assert config.scheduler.burst_duration_s[Rhythm.REPEATED_LOW_FREQUENCY] == 10.0
+    assert config.scheduler.duty_medium_high == 0.9
+    assert config.scheduler.burst_repeated_low_frequency_s == 10.0
     channels = {s.key: s.channel for s in config.vocabulary}
     assert channels["cedarwood"] == 1 and channels["bergamot"] == 5
     assert config.ir_table.code_for("power") == 0x20DF10EF
@@ -142,32 +142,30 @@ def test_scheduler_field_name_is_not_a_key(tmp_path):
         load_config(path)
 
 
-_SCHEDULER_MAP_KEYS = {
-    "duty_low": ("duty_map", Intensity.LOW),
-    "duty_low_medium": ("duty_map", Intensity.LOW_MEDIUM),
-    "duty_medium": ("duty_map", Intensity.MEDIUM),
-    "duty_medium_high": ("duty_map", Intensity.MEDIUM_HIGH),
-    "burst_single_brief_s": ("burst_duration_s", Rhythm.SINGLE_BRIEF),
-    "burst_repeated_low_frequency_s": (
-        "burst_duration_s", Rhythm.REPEATED_LOW_FREQUENCY),
-    "burst_brief_repeat_if_needed_s": (
-        "burst_duration_s", Rhythm.BRIEF_REPEAT_IF_NEEDED),
-}
+_SCHEDULER_MAP_KEYS = [
+    *(f"duty_{level.value}" for level in Intensity),
+    *(f"burst_{rhythm.value}_s" for rhythm in Rhythm),
+]
 
 
 @pytest.mark.parametrize("key", _SCHEDULER_MAP_KEYS)
 def test_scheduler_map_key_sets_only_its_entry(tmp_path, key):
-    field, member = _SCHEDULER_MAP_KEYS[key]
-    value = 0.55 if field == "duty_map" else 5.0
+    value = 0.55 if key.startswith("duty_") else 5.0
     path = _write(tmp_path, "one.ini", f"[scheduler]\n{key} = {value}\n")
     loaded = load_config(path).scheduler
     defaults = Config().scheduler
-    expected = dict(getattr(defaults, field))
-    assert expected[member] != value
-    expected[member] = value
-    assert dict(getattr(loaded, field)) == expected
-    other = "burst_duration_s" if field == "duty_map" else "duty_map"
-    assert dict(getattr(loaded, other)) == dict(getattr(defaults, other))
+    assert getattr(defaults, key) != value
+    assert loaded == replace(defaults, **{key: value})
+
+
+def test_scheduler_keys_are_its_fields():
+    names = [f.name for f in fields(SchedulerConfig)]
+    assert len(names) == 10
+    doc = scentctl.config.__doc__.split("[scheduler]", 1)[1].split("[scent]", 1)[0]
+    assert re.findall(r"\w+", doc) == names
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    ini = readme.read_text(encoding="utf-8").split("\n[scheduler]\n", 1)[1]
+    assert re.findall(r"^(\w+) =", ini.split("\n\n", 1)[0], re.M) == names
 
 
 # Each of these would hang a run, fail it on every input or crash it;
@@ -227,10 +225,13 @@ def test_readme_example_config_loads(tmp_path):
 #
 # The reference below is a verbatim copy of the loader that handled each
 # section in its own block (with its `default_config`), renamed with a
-# `_ref` prefix. The table-driven loader must give an equal `Config` or the
-# same error text on every input, including which of several bad sections
-# it reports. The reference strips no inline comments, so generated files
-# contain no `;` or `#`.
+# `_ref` prefix. Its scheduler block still collects duties and bursts in
+# maps keyed by `Intensity` and `Rhythm`, now starting empty, and
+# `_ref_flat` turns them into the `SchedulerConfig` fields they set. The
+# table-driven loader must give an equal `Config` or the same error text
+# on every input, including which of several bad sections it reports.
+# The reference strips no inline comments, so generated files contain no
+# `;` or `#`.
 
 class _RefConfigError(ValueError):
     """The configuration file is invalid."""
@@ -252,6 +253,12 @@ _REF_KNOWN_SECTIONS = ("general", "ingest", "estimator", "scheduler",
 
 _REF_DUTY_KEYS = {f"duty_{level.value}": level for level in Intensity}
 _REF_BURST_KEYS = {f"burst_{rhythm.value}_s": rhythm for rhythm in Rhythm}
+
+
+def _ref_flat(duty: dict, burst: dict) -> dict[str, float]:
+    """The reference's duty and burst maps as `SchedulerConfig` fields."""
+    return {**{f"duty_{level.value}": v for level, v in duty.items()},
+            **{f"burst_{rhythm.value}_s": v for rhythm, v in burst.items()}}
 
 
 def _ref_to_float(section: str, key: str, raw: str) -> float:
@@ -316,8 +323,8 @@ def _ref_load_config(path: str | Path | None) -> Config:
 
     scheduler = cfg.scheduler
     if parser.has_section("scheduler"):
-        duty = dict(scheduler.duty_map)
-        burst = dict(scheduler.burst_duration_s)
+        duty: dict = {}
+        burst: dict = {}
         plain: dict[str, float] = {}
         for key, raw in parser.items("scheduler"):
             if key in _REF_DUTY_KEYS:
@@ -329,8 +336,7 @@ def _ref_load_config(path: str | Path | None) -> Config:
             else:
                 raise _RefConfigError(f"[scheduler] unknown key {key!r}")
         try:
-            scheduler = replace(scheduler, duty_map=duty,
-                                burst_duration_s=burst, **plain)
+            scheduler = replace(scheduler, **_ref_flat(duty, burst), **plain)
         except ValueError as exc:
             raise _RefConfigError(f"[scheduler] {exc}") from None
 
@@ -394,7 +400,7 @@ _INI_GOOD = {
     "simulator": {"rr_mean_ms": ["850"], "rr_jitter_ms": ["5"],
                   "hr_cadence_s": ["2"]},
 }
-_INI_ODD_KEYS = ["duty_map", "burst_duration_s",     # fields, not keys
+_INI_ODD_KEYS = ["duty_map", "burst_duration_s",     # old field names, never keys
                  "foo", "alphaa", "nosuch.channel", ".channel", "codes.bogus",
                  "codes.", *(key for keys in _INI_GOOD.values() for key in keys)]
 _INI_ODD_VALUES = [
@@ -430,7 +436,7 @@ def _ini_texts(draw):
 
 def _load_outcome(load, path):
     try:
-        return repr(load(path))  # repr: floats and map types compared exactly
+        return repr(load(path))  # repr: floats and their types compared exactly
     except (ConfigError, _RefConfigError) as exc:
         return "error", str(exc)
 
@@ -676,6 +682,37 @@ def test_cli_replay_missing_file_exit_2(tmp_path, capsys):
     code = main(["replay", "--rr", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def _steady_rr(tmp_path):
+    """Ten minutes of alternating 790/810 ms beats: enough to calibrate
+    and replay."""
+    return _write(tmp_path, "rr.csv", "".join(
+        f"{i * 800},{810 if i % 2 else 790}\n" for i in range(1, 751)))
+
+
+def _non_utf8_rr(tmp_path):
+    path = tmp_path / "rr.csv"
+    path.write_bytes(b"0,800\n800,8\xff0\n")
+    return str(path)
+
+
+# Each path is one that the OS or the decoder refuses: an input error
+# (exit 2), not an internal one (exit 4).
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["replay", "--rr", _steady_rr(tmp),
+                 "--out", _write(tmp, "taken", "")],
+    lambda tmp: ["replay", "--rr", str(tmp), "--out", str(tmp / "x")],
+    lambda tmp: ["replay", "--rr", _non_utf8_rr(tmp), "--out", str(tmp / "x")],
+    lambda tmp: ["synth", "--blocks", "work:6",
+                 "--out", str(Path(_write(tmp, "file", "")) / "x")],
+    lambda tmp: ["validate", "--config", str(tmp)],
+], ids=["replay-out-is-a-file", "replay-rr-is-a-directory",
+        "replay-rr-not-utf8", "synth-out-under-a-file",
+        "validate-config-is-a-directory"])
+def test_cli_unreadable_path_exit_2(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    assert "input error: " in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_3(tmp_path, capsys):

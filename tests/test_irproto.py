@@ -10,7 +10,6 @@ from typing import Mapping
 import pytest
 from hypothesis import example, given, strategies as st
 
-from scentctl.estimator import InteractionState
 from scentctl.irproto import (
     BIT_MARK_US,
     COMMANDS,
@@ -245,9 +244,7 @@ def test_round_trip_random_tables(seed):
 
 def _release(channel=3, start=60_000, duration_s=8.0):
     return ReleaseCommand(start=start, channel=channel, duty=0.45,
-                          duration_s=duration_s,
-                          cause=InteractionState.ELEVATED_STRESS_SHORT,
-                          scent="cedarwood")
+                          duration_s=duration_s, scent="cedarwood")
 
 
 def test_sequence_select_power_then_shutdown():

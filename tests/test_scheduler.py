@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -20,8 +21,6 @@ from scentctl.scents import (
     vocabulary,
 )
 from scentctl.scheduler import (
-    DEFAULT_BURST_DURATION_S,
-    DEFAULT_DUTY_MAP,
     PendingRepeat,
     ReleaseCommand,
     SchedulerConfig,
@@ -201,24 +200,47 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SchedulerConfig(max_burst_s=45)
     with pytest.raises(ValueError):
-        SchedulerConfig(duty_map={Intensity.LOW: 1.5,
-                                  Intensity.LOW_MEDIUM: 0.45,
-                                  Intensity.MEDIUM: 0.6,
-                                  Intensity.MEDIUM_HIGH: 0.8})
+        SchedulerConfig(duty_low=1.5)
     with pytest.raises(ValueError):
-        SchedulerConfig(burst_duration_s={Rhythm.SINGLE_BRIEF: 40.0,
-                                          Rhythm.REPEATED_LOW_FREQUENCY: 12.0,
-                                          Rhythm.BRIEF_REPEAT_IF_NEEDED: 8.0})
+        SchedulerConfig(burst_single_brief_s=40.0)
 
 
 def test_default_config_maps_read_only():
     cfg = SchedulerConfig()
-    assert cfg.duty_map == DEFAULT_DUTY_MAP
-    assert cfg.burst_duration_s == DEFAULT_BURST_DURATION_S
-    with pytest.raises(TypeError):
-        cfg.duty_map[Intensity.LOW] = 0.9
-    with pytest.raises(TypeError):
-        cfg.burst_duration_s[Rhythm.SINGLE_BRIEF] = 1.0
+    assert (cfg.duty_low, cfg.duty_low_medium, cfg.duty_medium,
+            cfg.duty_medium_high) == (0.30, 0.45, 0.60, 0.80)
+    assert (cfg.burst_single_brief_s, cfg.burst_repeated_low_frequency_s,
+            cfg.burst_brief_repeat_if_needed_s) == (8.0, 12.0, 8.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.duty_low = 0.9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.burst_single_brief_s = 1.0
+
+
+def test_max_burst_bounds():
+    assert SchedulerConfig(max_burst_s=30.0).max_burst_s == 30.0
+    for bad in (0.0, 30.001):
+        with pytest.raises(ValueError, match=r"^max_burst_s must be in \(0, 30\] s$"):
+            SchedulerConfig(max_burst_s=bad)
+
+
+# Each duty is in (0, 1] and each burst in (0, max_burst_s]: both ends
+# of each interval, one field at a time.
+@pytest.mark.parametrize("level", list(Intensity), ids=lambda m: m.value)
+def test_duty_bounds(level):
+    name = f"duty_{level.value}"
+    assert getattr(SchedulerConfig(**{name: 1.0}), name) == 1.0
+    with pytest.raises(ValueError, match=f"^duty for {level.value} must be in"):
+        SchedulerConfig(**{name: 0.0})
+
+
+@pytest.mark.parametrize("rhythm", list(Rhythm), ids=lambda m: m.value)
+def test_burst_bounds(rhythm):
+    name = f"burst_{rhythm.value}_s"
+    assert getattr(SchedulerConfig(max_burst_s=20.0, **{name: 20.0}), name) == 20.0
+    with pytest.raises(ValueError,
+                       match=f"^burst duration for {rhythm.value} must be in"):
+        SchedulerConfig(**{name: 0.0})
 
 
 # -- brute-force reference equivalence --------------------------------------
@@ -267,7 +289,7 @@ def test_scheduler_matches_brute_force(seed):
         reason = suppression_reason(now, st, cfg)
         cmd = request(expr, scent, now, st, cfg, cause=cause, still_holds=True)
         assert (cmd is None) == (reason is not None)
-        trace.append((now, cfg.burst_duration_s[expr.rhythm]))
+        trace.append((now, getattr(cfg, f"burst_{expr.rhythm.value}_s")))
         actual.append(reason or "scheduled")
 
     expected = brute_force_decisions(trace, cfg.min_interval_s)
@@ -278,7 +300,9 @@ def test_scheduler_matches_brute_force(seed):
 #
 # `_Decision`, `decision_request` and `expand_rhythm` are verbatim copies
 # of the API in which `request` returned a decision and a second call
-# armed the repeat (only the names are prefixed or changed). Driven the
+# armed the repeat (only the names are prefixed or changed, and the
+# duty and burst are read from the config's flat fields and the command
+# no longer carries its cause). Driven the
 # way the control loop drives the scheduler (tick, then requests at the
 # same instant), `request(..., still_holds=...)` must reproduce its
 # commands, suppression reasons and pending repeats.
@@ -314,13 +338,12 @@ def decision_request(
     reason = suppression_reason(now, st, cfg)
     if reason is not None:
         return _Decision(None, reason)
-    duration_s = cfg.burst_duration_s[expr.rhythm]
+    duration_s = getattr(cfg, f"burst_{expr.rhythm.value}_s")
     command = ReleaseCommand(
         start=now,
         channel=scent.channel,
-        duty=cfg.duty_map[expr.intensity],
+        duty=getattr(cfg, f"duty_{expr.intensity.value}"),
         duration_s=duration_s,
-        cause=cause,
         scent=scent.key,
     )
     st.last_release_end = command.end
@@ -365,8 +388,8 @@ def _request_traces(draw):
     cfg = SchedulerConfig(
         min_interval_s=draw(hst.sampled_from([60.0, 120.0, 900.0])
                             | hst.floats(0.001, 1000)),
-        burst_duration_s={r: draw(hst.sampled_from([8.0, 30.0])
-                                  | hst.floats(0.001, 30)) for r in Rhythm})
+        **{f"burst_{r.value}_s": draw(hst.sampled_from([8.0, 30.0])
+                                      | hst.floats(0.001, 30)) for r in Rhythm})
     cadences = hst.sampled_from([0, 1000, 8000, 60_000]) | hst.integers(0, 1_000_000)
     requests = hst.lists(hst.tuples(hst.integers(0, 2), hst.booleans()), max_size=3)
     return cfg, draw(hst.lists(hst.tuples(cadences, hst.booleans(), requests),

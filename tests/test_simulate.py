@@ -411,6 +411,28 @@ def test_summarize_detects_overlap_and_cooldown_violations():
     assert summary["violations"] == 2  # overlap plus cooldown breach
 
 
+# The hard constraints at their boundaries: a burst of exactly
+# max_burst_s and releases exactly min_interval_ms apart are allowed, and
+# releases that touch end to start breach the cooldown but do not overlap.
+_MAX_BURST_S = CFG.scheduler.max_burst_s
+_GAP_MS = 8000 + CFG.scheduler.min_interval_ms  # after an 8 s burst at 0
+
+
+@pytest.mark.parametrize("releases, violations", [
+    ([(0, _MAX_BURST_S)], 0),
+    ([(0, _MAX_BURST_S + 0.001)], 1),
+    ([(0, 8.0), (_GAP_MS, 8.0)], 0),
+    ([(0, 8.0), (_GAP_MS - 1, 8.0)], 1),
+    ([(0, 8.0), (8000, 8.0)], 1),
+], ids=["burst-at-max", "burst-over-max", "gap-at-min", "gap-under-min",
+        "touching"])
+def test_summarize_constraint_boundaries(releases, violations):
+    records = sorted((r for start, duration_s in releases
+                      for r in _release(start, 5, duration_s)),
+                     key=lambda r: r["t"])
+    assert summarize(records, CFG)["violations"] == violations
+
+
 def test_summarize_per_channel_counts():
     records = []
     for k in range(3):
@@ -658,6 +680,11 @@ def _loop_case(seed, episodes, stride_s, **scheduler):
     return generate_session(seed, plan, script, config.simulator), config
 
 
+def _bursts(seconds):
+    """Every rhythm's burst length set to ``seconds``."""
+    return {f"burst_{rhythm.value}_s": seconds for rhythm in Rhythm}
+
+
 @st.composite
 def _loop_cases(draw):
     """Stress, then fatigue, with a config drawn to release, repeat and
@@ -665,7 +692,8 @@ def _loop_cases(draw):
     start) up to max_burst_s, minimum interval 1-600 s, repeat horizon
     0-120 s."""
     max_burst = draw(st.floats(1e-4, 30))
-    bursts = {rhythm: draw(st.floats(1e-4, max_burst)) for rhythm in Rhythm}
+    bursts = {f"burst_{rhythm.value}_s": draw(st.floats(1e-4, max_burst))
+              for rhythm in Rhythm}
     episodes = [
         (draw(st.floats(6, 12)), draw(st.floats(3, 15)), EpisodeKind.STRESS,
          draw(st.floats(0.7, 1))),
@@ -674,7 +702,7 @@ def _loop_cases(draw):
     return _loop_case(
         draw(st.integers(0, 2**16)), episodes, draw(st.floats(1, 60)),
         min_interval_s=draw(st.floats(1, 600)), max_burst_s=max_burst,
-        burst_duration_s=bursts, repeat_check_horizon_s=draw(st.floats(0, 120)))
+        repeat_check_horizon_s=draw(st.floats(0, 120)), **bursts)
 
 
 # Stress to the end of the session with a 1 s interval releases at about
@@ -684,11 +712,11 @@ _SUSTAINED = [(8.0, 47.0, EpisodeKind.STRESS, 1.0)]
 
 @settings(max_examples=25, deadline=None)
 @example(_loop_case(1, _SUSTAINED, 30.0, min_interval_s=1.0,  # end on a window end
-                    burst_duration_s=dict.fromkeys(Rhythm, 30.0)))
+                    **_bursts(30.0)))
 @example(_loop_case(1, _SUSTAINED, 60.0, min_interval_s=1.0,  # end after the last window
-                    burst_duration_s=dict.fromkeys(Rhythm, 30.0)))
+                    **_bursts(30.0)))
 @example(_loop_case(1, _SUSTAINED, 1.0, min_interval_s=1.0,  # end == start
-                    burst_duration_s=dict.fromkeys(Rhythm, 0.0004)))
+                    **_bursts(0.0004)))
 @given(_loop_cases())
 def test_replay_stream_matches_sorted_reference(case):
     traces, config = case
@@ -697,3 +725,73 @@ def test_replay_stream_matches_sorted_reference(case):
         expected = _ref_replay(traces, config)
     assert stream == expected
     assert summarize(stream, config) == summarize(expected, config)
+
+
+# -- causality ----------------------------------------------------------------
+#
+# The loop runs live, so the records stamped up to T may depend only on
+# the rows stamped up to T: cutting all three streams at T gives a prefix
+# of the full run's records. The one allowed difference is a release's
+# shutdown that the cut run still holds when its input ends; it emits it
+# last, and the full run emits it later, once a window reaches its time.
+
+def _cut(traces, t):
+    """The rows of ``traces`` stamped at or before ``t``."""
+    def head(series):
+        n = bisect.bisect_right(series.timestamps, t)
+        return Series(series.timestamps[:n], series.values[:n])
+    return dataclasses.replace(
+        traces, rr=head(traces.rr), hr=head(traces.hr),
+        context=[row for row in traces.context if row.timestamp <= t])
+
+
+def _drop(traces, start, end):
+    """``traces`` without the RR and HR rows stamped in [start, end)."""
+    def keep(series):
+        rows = [(t, v) for t, v in zip(series.timestamps, series.values)
+                if not start <= t < end]
+        return Series([t for t, _ in rows], [v for _, v in rows])
+    return dataclasses.replace(traces, rr=keep(traces.rr), hr=keep(traces.hr))
+
+
+@st.composite
+def _cut_cases(draw):
+    """A `_loop_cases` session, sometimes with an RR and HR dropout of up
+    to 10 minutes after calibration, and a cut time anywhere in it."""
+    traces, config = draw(_loop_cases())
+    end = traces.rr.timestamps[-1]
+    if draw(st.booleans()):
+        start = draw(st.integers(round(config.ingest.calibration_minutes * 60000),
+                                 end))
+        traces = _drop(traces, start, start + draw(st.integers(0, 600_000)))
+    return traces, config, draw(st.integers(0, end))
+
+
+# Bursts of 30 s at a 10 s stride: the cut at 625 s ends inside the
+# release of 610-640 s, so the cut run ends holding its shutdown.
+@settings(max_examples=25, deadline=None)
+@example((*_loop_case(1, _SUSTAINED, 10.0, min_interval_s=1.0, **_bursts(30.0)),
+          625_000))
+# Inside calibration: two windows cannot calibrate; three can, and the
+# run then ends before its first evaluated window.
+@example((*_loop_case(1, _SUSTAINED, 60.0), 239_999))
+@example((*_loop_case(1, _SUSTAINED, 60.0), 299_999))
+@given(_cut_cases())
+def test_replay_is_causal(case):
+    traces, config, t = case
+    ing = config.ingest
+    third_window_end = round(ing.window_len_s * 1000) + 2 * round(ing.stride_s * 1000)
+    with _time_bound(30):
+        full = list(replay(traces, config))
+        try:
+            cut = list(replay(_cut(traces, t), config))
+        except InsufficientDataError:
+            # only a cut inside calibration may fail to calibrate
+            assert t < round(ing.calibration_minutes * 60000)
+            return
+    assert t >= third_window_end  # fewer than 3 windows cannot calibrate
+    if cut != full[:len(cut)]:
+        held = cut.pop()
+        assert (held["kind"], held["command"]) == ("ir_command", "shutdown")
+        assert cut == full[:len(cut)]
+        assert held in full[len(cut) + 1:]
