@@ -10,11 +10,14 @@ are `Series` of two read-only typed columns, 8 bytes per value, with no
 object per sample. Everything here is a pure function over immutable
 data, safe from any thread.
 
-Ingest is linear in its input. Parsing is one pass over the lines, split
-from the input a chunk at a time, in which ordinary rows take a cheap
-path. `window_features` builds its context lookup (each row's timestamp
-and the start of its active run) in one pass, then pays one bisect per
-window.
+Ingest is linear in its input. Parsing splits the input into batches of
+lines about 4 KiB at a time. A batch of ordinary RR/HR rows (two numbers
+each, timestamps non-decreasing from the last one kept, positive values)
+is converted and written into the columns in C; any other batch takes a
+row loop, where ordinary rows take a cheap path and the rest a checked
+one that names the offending line. `window_features` builds its context
+lookup (each row's timestamp and the start of its active run) in one
+pass, then pays one bisect per window.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
-from statistics import fmean
+from itertools import compress, pairwise, repeat
+from operator import le, lt
+from struct import pack_into
 from typing import Callable, Iterator, Sequence
 
 # Physiologically plausible inter-beat interval range, ms.
@@ -53,8 +57,11 @@ DEFAULT_CALIBRATION_MINUTES = 5.0
 
 # The largest timestamp a `Series` column (signed 64-bit) can hold.
 _TS_MAX = 2**63 - 1
-# Parsing splits its input into lines about this many characters at a time.
-_CHUNK_CHARS = 1 << 16
+# Parsing splits its input into batches of lines about this many characters
+# long: larger batches hold more per-row objects at once and measured slower.
+_CHUNK_CHARS = 1 << 12
+# `clean_hr` checks this many rows at a time.
+_SCAN_ROWS = 1 << 12
 
 
 class StreamFormatError(ValueError):
@@ -189,17 +196,17 @@ def _looks_numeric(text: str) -> bool:
     return True
 
 
-def _lines(text: str) -> Iterator[str]:
+def _batches(text: str) -> Iterator[list[str]]:
     """Yield ``text.splitlines()`` one chunk of ``text`` at a time.
 
     Each cut falls right after a ``"\n"``, so it never splits a line
-    break (``"\r\n"`` included) and the lines are exactly those of
+    break (``"\r\n"`` included) and the batches joined are exactly
     ``text.splitlines()``.
     """
     pos = 0
     while pos < len(text):
         cut = text.find("\n", pos + _CHUNK_CHARS - 1) + 1 or len(text)
-        yield from text[pos:cut].splitlines()
+        yield text[pos:cut].splitlines()
         pos = cut
 
 
@@ -221,76 +228,116 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
     columns = schema != "context"
     n_fields = 2 if columns else 3
 
-    timestamps = array("q")
+    # Both columns are sized once, to one row per "\n", and each row is
+    # written at index ``n``: they never grow a row at a time, so the
+    # peak memory does not depend on how the allocator places them.
+    size = stream.count("\n") + 1
+    timestamps = array("q", [0]) * size
     # doubles, or ContextSample rows for ``context``
-    values: array | list = array("d") if columns else []
-    append_ts, append_value = timestamps.append, values.append
+    values: array | list = array("d", [0.0]) * size if columns else [None] * size
+    n = 0
     prev_ts = -1  # below every valid timestamp
-    for line_no, raw in enumerate(_lines(stream), start=1):
+    line_no = 0
+    for batch in _batches(stream):
+        while n + len(batch) > len(timestamps):  # other line breaks
+            timestamps *= 2
+            values *= 2
         if columns:
-            # The common row: two numbers, a later timestamp in range, a
-            # positive value. int() and float() strip the same whitespace
-            # as str.strip(), so it gives the checked path's sample; every
-            # other row falls through to the checked path and its errors.
-            a, _, b = raw.partition(",")
+            # The common batch: every row two numbers, timestamps in range
+            # and non-decreasing from the last one kept, values positive
+            # (which refuses NaN as ``value > 0`` does). It is converted and
+            # written in C; any other batch takes the row loop. int() and
+            # float() strip the same whitespace as str.strip(), so each row
+            # gives the checked path's sample.
             try:
-                ts, value = int(a), float(b)
+                heads, _, tails = zip(*map(str.partition, batch, repeat(",")))
+                ts, vs = list(map(int, heads)), list(map(float, tails))
             except ValueError:
                 pass
             else:
-                if prev_ts < ts <= _TS_MAX and value > 0:
-                    append_ts(ts)
-                    append_value(value)
-                    prev_ts = ts
+                rising = prev_ts < ts[0] and all(map(lt, ts, ts[1:]))
+                ordered = rising or (prev_ts <= ts[0] >= 0
+                                     and all(map(le, ts, ts[1:])))
+                if (ordered and ts[-1] <= _TS_MAX
+                        and all(map(lt, repeat(0.0), vs))):
+                    if not rising:
+                        # Rows sharing a timestamp: the last value wins.
+                        if ts[0] == prev_ts:
+                            n -= 1
+                        last = [*map(lt, ts, ts[1:]), True]
+                        ts, vs = [*compress(ts, last)], [*compress(vs, last)]
+                    pack_into(f"{len(ts)}q", timestamps, 8 * n, *ts)
+                    pack_into(f"{len(vs)}d", values, 8 * n, *vs)
+                    n += len(ts)
+                    prev_ts = ts[-1]
+                    line_no += len(batch)
                     continue
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not values and not _looks_numeric(fields[0]):
-            continue  # optional header
-        if len(fields) != n_fields:
-            raise StreamFormatError(
-                f"expected {n_fields} fields, got {len(fields)}", line_no)
-        try:
-            ts = int(fields[0])
-        except ValueError:
-            raise StreamFormatError(
-                f"bad timestamp {fields[0]!r}", line_no) from None
-        if ts < 0:
-            raise StreamFormatError("negative timestamp", line_no)
-        if ts > _TS_MAX:
-            raise StreamFormatError(f"timestamp {ts} out of range", line_no)
-
-        if columns:
+        for raw in batch:
+            line_no += 1
+            if columns:
+                # The common row, as above, one at a time.
+                a, _, b = raw.partition(",")
+                try:
+                    ts, value = int(a), float(b)
+                except ValueError:
+                    pass
+                else:
+                    if prev_ts < ts <= _TS_MAX and value > 0:
+                        timestamps[n] = ts
+                        values[n] = value
+                        n += 1
+                        prev_ts = ts
+                        continue
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if not n and not _looks_numeric(fields[0]):
+                continue  # optional header
+            if len(fields) != n_fields:
+                raise StreamFormatError(
+                    f"expected {n_fields} fields, got {len(fields)}", line_no)
             try:
-                value = float(fields[1])
+                ts = int(fields[0])
             except ValueError:
                 raise StreamFormatError(
-                    f"bad {schema} value {fields[1]!r}", line_no) from None
-            if not value > 0:
-                raise StreamFormatError(f"{schema} must be positive", line_no)
-        else:
-            active = _parse_bool(fields[1], line_no)
-            try:
-                activity = ActivityState(fields[2].lower())
-            except ValueError:
+                    f"bad timestamp {fields[0]!r}", line_no) from None
+            if ts < 0:
+                raise StreamFormatError("negative timestamp", line_no)
+            if ts > _TS_MAX:
+                raise StreamFormatError(f"timestamp {ts} out of range", line_no)
+
+            if columns:
+                try:
+                    value = float(fields[1])
+                except ValueError:
+                    raise StreamFormatError(
+                        f"bad {schema} value {fields[1]!r}", line_no) from None
+                if not value > 0:
+                    raise StreamFormatError(f"{schema} must be positive", line_no)
+            else:
+                active = _parse_bool(fields[1], line_no)
+                try:
+                    activity = ActivityState(fields[2].lower())
+                except ValueError:
+                    raise StreamFormatError(
+                        f"bad activity state {fields[2]!r}", line_no) from None
+                value = ContextSample(ts, active, activity)
+
+            if ts < prev_ts:
                 raise StreamFormatError(
-                    f"bad activity state {fields[2]!r}", line_no) from None
-            value = ContextSample(ts, active, activity)
+                    f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
+            if ts == prev_ts:
+                values[n - 1] = value  # duplicate timestamp: last value wins
+            else:
+                timestamps[n] = ts
+                values[n] = value
+                n += 1
+            prev_ts = ts
 
-        if ts < prev_ts:
-            raise StreamFormatError(
-                f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
-        if ts == prev_ts:
-            values[-1] = value  # duplicate timestamp: last value wins
-        else:
-            append_ts(ts)
-            append_value(value)
-        prev_ts = ts
-
-    if not values:
+    if not n:
         raise StreamFormatError("empty stream")
+    del timestamps[n:], values[n:]
     return Series(_frozen(timestamps), _frozen(values)) if columns else values
 
 
@@ -358,15 +405,25 @@ def reject_artifacts(samples: Series) -> Series:
 
 def clean_hr(samples: Series) -> Series:
     """Drop heart-rate samples outside the [20, 250] bpm plausibility range."""
-    return _drop(samples, [i for i, v in enumerate(samples.values)
-                           if not HR_MIN_BPM <= v <= HR_MAX_BPM])
+    # A slice of rows at a time, one shared bool per row rather than an
+    # index per row; the rows to drop are then found in C.
+    values, dropped = samples.values, []
+    for start in range(0, len(values), _SCAN_ROWS):
+        flags = [HR_MIN_BPM <= v <= HR_MAX_BPM
+                 for v in values[start:start + _SCAN_ROWS]]
+        i = -1
+        for _ in range(flags.count(False)):
+            i = flags.index(False, i + 1)
+            dropped.append(start + i)
+    return _drop(samples, dropped)
 
 
 def _std(xs: Sequence[float], ddof: int = 0) -> float:
     """Std with divisor ``len(xs) - ddof``, centred on ``xs[0]`` so constants give 0.0."""
-    dev = [x - xs[0] for x in xs]
-    m = fmean(dev)
-    return math.sqrt(math.fsum([(d - m) * (d - m) for d in dev]) / (len(dev) - ddof))
+    x0 = xs[0]
+    dev = [x - x0 for x in xs]
+    m = math.fsum(dev) / len(dev)
+    return math.sqrt(math.fsum([(e := d - m) * e for d in dev]) / (len(dev) - ddof))
 
 
 def compute_rmssd(rr: Sequence[float]) -> float:
@@ -374,7 +431,8 @@ def compute_rmssd(rr: Sequence[float]) -> float:
     if len(rr) < 2:
         raise InsufficientDataError(
             f"RMSSD needs at least 2 intervals, got {len(rr)}")
-    return math.sqrt(fmean([(b - a) * (b - a) for a, b in pairwise(rr)]))
+    return math.sqrt(math.fsum([(b - a) * (b - a) for a, b in pairwise(rr)])
+                     / (len(rr) - 1))
 
 
 def compute_sdnn(rr: Sequence[float]) -> float:
@@ -395,20 +453,29 @@ def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
 
     Means are taken over the calibration windows; scales are the sample
     standard deviation of each statistic, floored so that unnaturally
-    flat calibration cannot inflate later deviations.
+    flat calibration cannot inflate later deviations. A calibration with
+    no beat-to-beat variability at all (zero mean RMSSD) gives no
+    baseline: it raises InsufficientDataError.
     """
-    if len(calibration) < 3:
+    n = len(calibration)
+    if n < 3:
         raise InsufficientDataError(
             f"baseline calibration needs at least 3 windows with two or more "
-            f"kept RR beats, got {len(calibration)}: the calibration span has "
-            f"gaps or the trace ends inside it")
+            f"kept RR beats, got {n}: the calibration span has gaps or the "
+            f"trace ends inside it")
     hr = [w.mean_hr for w in calibration]
     rmssd = [w.rmssd for w in calibration]
     sdnn = [w.sdnn for w in calibration]
+    mean_rmssd = math.fsum(rmssd) / n
+    if not mean_rmssd > 0:
+        raise InsufficientDataError(
+            f"baseline calibration is flat: the RR intervals of all {n} "
+            f"calibration windows are constant (RMSSD 0 ms), so there is no "
+            f"variability to measure deviations from")
     return Baseline(
-        mean_hr=fmean(hr),
-        mean_rmssd=fmean(rmssd),
-        mean_sdnn=fmean(sdnn),
+        mean_hr=math.fsum(hr) / n,
+        mean_rmssd=mean_rmssd,
+        mean_sdnn=math.fsum(sdnn) / n,
         hr_scale=max(_std(hr, ddof=1), HR_SCALE_FLOOR),
         rmssd_scale=max(_std(rmssd, ddof=1), RMSSD_SCALE_FLOOR),
         sdnn_scale=max(_std(sdnn, ddof=1), SDNN_SCALE_FLOOR),
@@ -502,9 +569,9 @@ def window_features(
         j0 = bisect.bisect_left(hr_ts, start)
         j1 = bisect.bisect_left(hr_ts, end)
         if j1 > j0:
-            mean_hr = fmean(hr_v[j0:j1])
+            mean_hr = math.fsum(hr_v[j0:j1]) / (j1 - j0)
         else:
-            mean_hr = 60000.0 / fmean(seg)
+            mean_hr = 60000.0 / (math.fsum(seg) / (i1 - i0))
         windows.append(FeatureWindow(
             window_start=start,
             window_end=end,

@@ -558,6 +558,15 @@ def test_cli_replay_trace_starting_inside_calibration_exit_2(tmp_path, capsys):
             "the calibration span has gaps or the trace ends inside it") in err
 
 
+def test_cli_replay_flat_calibration_exit_2(tmp_path, capsys):
+    # 20 minutes of 800 ms beats: every calibration window has RMSSD 0
+    rr = _write(tmp_path, "rr.csv", "".join(
+        f"{i * 800},800\n" for i in range(1, 1501)))
+    assert main(["replay", "--rr", rr, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: baseline calibration is flat: "), err
+
+
 def test_cli_synth_nan_episode_start_exit_3(tmp_path, capsys):
     script = _write(tmp_path, "script.csv", "nan,10,stress,1.0\n")
     code = main(["synth", "--seed", "1", "--blocks", "work:30",

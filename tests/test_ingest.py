@@ -6,8 +6,10 @@ import bisect
 import gc
 import math
 import random
+import struct
 import tracemalloc
-from itertools import compress
+from array import array
+from itertools import compress, pairwise
 from statistics import fmean
 from typing import Sequence
 
@@ -185,6 +187,8 @@ def test_render_round_trip():
 def test_parse_timestamp_bounded_by_64_bits():
     top = 2**63 - 1
     assert parse_rr_stream(f"{top},800") == Series((top,), (800.0,))
+    assert parse_context_stream(f"{top},1,active") == [
+        ContextSample(top, True, ActivityState.ACTIVE)]
     for text in (f"0,800\n{top + 1},800", f"0,800\n {top + 1} ,800"):
         with pytest.raises(StreamFormatError) as info:
             parse_rr_stream(text)
@@ -680,13 +684,60 @@ def test_parse_matches_line_by_line_reference(case):
 
 
 @settings(max_examples=200)
-@given(_streams())
-def test_parse_matches_reference_when_cut_into_chunks(case):
+@given(_streams(), st.integers(1, 64))
+def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
     schema, text = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_CHUNK_CHARS", 3)
+        patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         assert (_parse_outcome(parse_samples, schema, text)
                 == _parse_outcome(reference_parse_samples, schema, text))
+
+
+# Cut 20 characters at a time, these rows fall into the batches shown.
+# A batch with a blank or header-like row, or one that does not continue
+# from the last timestamp kept, takes the row loop; every other one takes
+# the batch path, which writes the timestamps listed (rows sharing a
+# timestamp collapsed to the last). The last timestamp kept must carry
+# across both paths, in both directions, duplicates and line numbers
+# included.
+@pytest.mark.parametrize("batches, batch_path", [
+    ([["1000,800", "1800,810", "2600,805"],
+      ["3400,800", "", "3400,790", "4200,795"],
+      ["4200,700", "5000,800", "5800,810"]],
+     [[1000, 1800, 2600], [4200, 5000, 5800]]),
+    ([["1000,800", "1800,810", "2600,805"],
+      ["2600,700", "3400,800", "3400,790"],
+      ["4200,800", "", "4200,795", "5000,800"],
+      ["5000,700"]],
+     [[1000, 1800, 2600], [2600, 3400], [5000]]),
+    ([["1000,800", "1800,810", "2600,805"],
+      ["3400,800", "ts,rr_ms", "4200,795"],
+      ["5000,800"]],
+     [[1000, 1800, 2600]]),
+    ([["1000,800", "1800,810", "2600,805"],
+      ["3400,800", "", "4200,795", "4200,700"],
+      ["4100,800", "5000,800", "5800,810"]],
+     [[1000, 1800, 2600]]),
+    ([["0,800", "0,790", "800,805"]], [[0, 800]]),
+    ([["0,800", f"{2**63 - 1},800"]], [[0, 2**63 - 1]]),
+], ids=["blank-row", "duplicates", "header-like-row", "decrease-after-row-loop",
+        "duplicate-at-zero", "largest-timestamp"])
+def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
+    text = "".join(f"{line}\n" for batch in batches for line in batch)
+    written = []
+
+    def pack_into(fmt, buffer, offset, *items):
+        if fmt.endswith("q"):
+            written.append(list(items))
+        struct.pack_into(fmt, buffer, offset, *items)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_CHARS", 20)
+        patch.setattr(ingest, "pack_into", pack_into)
+        assert list(ingest._batches(text)) == batches
+        assert (_parse_outcome(parse_samples, "rr", text)
+                == _parse_outcome(reference_parse_samples, "rr", text))
+    assert written == batch_path
 
 
 # Every line boundary str.splitlines() knows, and text between them.
@@ -701,7 +752,9 @@ _LINE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
 def test_lines_match_splitlines(text, chunk_chars):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
-        assert list(ingest._lines(text)) == text.splitlines()
+        batches = list(ingest._batches(text))
+    assert all(batches)
+    assert [line for batch in batches for line in batch] == text.splitlines()
 
 
 @st.composite
@@ -861,3 +914,150 @@ def test_window_features_match_every_stride_reference(traces, window_len_s,
     baseline = Baseline(72.0, 40.0, 50.0, 3.0, 5.0, 5.0)
     args = (rr, hr, ctx, baseline, window_len_s, stride_s)
     assert repr(window_features(*args)) == repr(reference_window_features(*args))
+
+
+# -- bit identity of the HRV kernels, the baseline and the HR filter --------
+#
+# Verbatim copies (but for their names) of the kernels as they were when
+# they called `statistics.fmean`, and of `clean_hr` as it was when it
+# collected dropped indices with `enumerate`. The new code must give the
+# same bits: results are compared by `repr`.
+
+def _ref_std(xs: Sequence[float], ddof: int = 0) -> float:
+    """Std with divisor ``len(xs) - ddof``, centred on ``xs[0]`` so constants give 0.0."""
+    dev = [x - xs[0] for x in xs]
+    m = fmean(dev)
+    return math.sqrt(math.fsum([(d - m) * (d - m) for d in dev]) / (len(dev) - ddof))
+
+
+def _ref_compute_rmssd(rr: Sequence[float]) -> float:
+    """Root mean square of successive differences over an RR sequence, ms."""
+    if len(rr) < 2:
+        raise InsufficientDataError(
+            f"RMSSD needs at least 2 intervals, got {len(rr)}")
+    return math.sqrt(fmean([(b - a) * (b - a) for a, b in pairwise(rr)]))
+
+
+def _ref_compute_sdnn(rr: Sequence[float]) -> float:
+    if len(rr) < 2:
+        raise InsufficientDataError(
+            f"SDNN needs at least 2 intervals, got {len(rr)}")
+    return _ref_std(rr)
+
+
+def _ref_compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
+    if len(calibration) < 3:
+        raise InsufficientDataError(
+            f"baseline calibration needs at least 3 windows with two or more "
+            f"kept RR beats, got {len(calibration)}: the calibration span has "
+            f"gaps or the trace ends inside it")
+    hr = [w.mean_hr for w in calibration]
+    rmssd = [w.rmssd for w in calibration]
+    sdnn = [w.sdnn for w in calibration]
+    return Baseline(
+        mean_hr=fmean(hr),
+        mean_rmssd=fmean(rmssd),
+        mean_sdnn=fmean(sdnn),
+        hr_scale=max(_ref_std(hr, ddof=1), ingest.HR_SCALE_FLOOR),
+        rmssd_scale=max(_ref_std(rmssd, ddof=1), ingest.RMSSD_SCALE_FLOOR),
+        sdnn_scale=max(_ref_std(sdnn, ddof=1), ingest.SDNN_SCALE_FLOOR),
+    )
+
+
+def _ref_clean_hr(samples: Series) -> Series:
+    """Drop heart-rate samples outside the [20, 250] bpm plausibility range."""
+    return ingest._drop(samples, [i for i, v in enumerate(samples.values)
+                                  if not ingest.HR_MIN_BPM <= v <= ingest.HR_MAX_BPM])
+
+
+@st.composite
+def _rr_sequences(draw, min_size=2):
+    """RR values as a list or as a read-only slice of an ``array('d')``:
+    constant runs, values anywhere in 300-2000 ms (3-decimal or not), and
+    runs drifting past twice their first value, where ``x - xs[0]`` is
+    inexact."""
+    kind = draw(st.sampled_from(["constant", "any", "csv", "drift"]))
+    n = draw(st.integers(min_size, 300))
+    if kind == "constant":
+        values = [draw(st.floats(300, 2000))] * n
+    elif kind == "drift":
+        first = draw(st.floats(300, 990))
+        values = [first] + draw(st.lists(st.floats(300, 2000),
+                                         min_size=n - 2, max_size=n - 2))
+        values.insert(draw(st.integers(1, n - 1)),
+                      draw(st.floats(2 * first, 2000, exclude_min=True)))
+    else:
+        values = draw(st.lists(st.floats(300, 2000), min_size=n, max_size=n))
+        if kind == "csv":
+            values = [round(v, 3) for v in values]
+    if draw(st.booleans()):
+        return values
+    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    column = array("d", [800.0] * before + values + [800.0] * after)
+    return memoryview(column).toreadonly()[before:before + n]
+
+
+@settings(max_examples=300)
+@example([800.0, 800.0])
+@example([300.0, 2000.0, 300.0])
+@example([700.125, 1500.0625, 1999.999, 301.3])
+@given(_rr_sequences())
+def test_hrv_kernels_match_fmean_reference_bit_for_bit(rr):
+    assert repr(compute_rmssd(rr)) == repr(_ref_compute_rmssd(rr))
+    assert repr(compute_sdnn(rr)) == repr(_ref_compute_sdnn(rr))
+
+
+@st.composite
+def _calibrations(draw):
+    """3-12 calibration windows; each statistic constant, CSV-like or free."""
+    n = draw(st.integers(3, 12))
+
+    def column(low, high):
+        kind = draw(st.sampled_from(["constant", "any", "csv"]))
+        if kind == "constant":
+            return [draw(st.floats(low, high))] * n
+        values = draw(st.lists(st.floats(low, high), min_size=n, max_size=n))
+        return [round(v, 6) for v in values] if kind == "csv" else values
+
+    hr, rmssd, sdnn = column(40, 180), column(0.5, 200), column(0.5, 300)
+    return [_window(hr=h, rmssd=r, sdnn=s) for h, r, s in zip(hr, rmssd, sdnn)]
+
+
+@settings(max_examples=300)
+@example([_window(), _window(), _window()])
+@example([_window(hr=60.0, rmssd=10.0, sdnn=400.0), _window(hr=80.0),
+          _window(hr=70.0, rmssd=90.0, sdnn=20.0)])
+@given(_calibrations())
+def test_baseline_matches_fmean_reference_bit_for_bit(calibration):
+    assert repr(compute_baseline(calibration)) == repr(
+        _ref_compute_baseline(calibration))
+
+
+def test_baseline_flat_calibration_is_insufficient_data():
+    flat = [_window(rmssd=0.0, sdnn=0.0)] * 3
+    with pytest.raises(ValueError, match="mean_rmssd must be strictly positive"):
+        _ref_compute_baseline(flat)
+    with pytest.raises(InsufficientDataError,
+                       match="baseline calibration is flat: the RR intervals of "
+                             "all 3 calibration windows are constant"):
+        compute_baseline(flat)
+
+
+_HR_EDGES = [20.0, 250.0, math.nextafter(20.0, 0.0), math.nextafter(250.0, 300.0),
+             math.nan, math.inf, -math.inf, 0.0, -0.0, 72.0]
+
+
+@settings(max_examples=300)
+@example([20.0, 250.0], 4096)
+@example([math.nan, math.inf, -math.inf, 20.0, 250.0, 19.9, 250.1], 3)
+@given(st.lists(st.one_of(st.sampled_from(_HR_EDGES), st.floats()), max_size=60),
+       st.integers(1, 8))
+def test_clean_hr_matches_enumerate_reference(values, scan_rows):
+    samples = _rr(values, step=1000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_SCAN_ROWS", scan_rows)
+        out = clean_hr(samples)
+    ref = _ref_clean_hr(samples)
+    assert (repr(tuple(out.timestamps)), repr(tuple(out.values))) == (
+        repr(tuple(ref.timestamps)), repr(tuple(ref.values)))
+    assert (out is samples) == (ref is samples)

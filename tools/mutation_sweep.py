@@ -1,21 +1,25 @@
-"""Comparison-operator mutation sweep over the safety core.
+"""Comparison-operator mutation sweep over the safety core and ingest.
 
-Swaps one comparison operator at a time (``<``/``<=``, ``>``/``>=``,
-``==``/``!=``, ``is``/``is not``) in:
+Swaps one comparison at a time: an operator (``<``/``<=``, ``>``/``>=``,
+``==``/``!=``, ``is``/``is not``), or a comparison passed as a function
+(``operator.lt``/``le``, ``gt``/``ge``, as in ``map(lt, xs, ys)``), in:
 
 - every function of ``scentctl/scheduler.py`` (``SchedulerConfig``'s
   validation included);
 - ``simulate._evaluate`` and ``simulate.summarize``;
-- ``estimator.classify``.
+- ``estimator.classify``;
+- ``ingest.parse_samples``, ``reject_artifacts``, ``clean_hr`` and
+  ``compute_baseline``.
 
 Each mutant is written into a scratch copy of the repository, and the
-loop test files run against it with ``pytest -x``; a mutant they do not
-kill runs against the whole suite. A mutant that no test kills is a
+test files of its module run against it with ``pytest -x`` (the loop
+test files for the loop modules, ``test_ingest`` for ``ingest``); a
+mutant they do not kill runs against the whole suite. A mutant that no test kills is a
 survivor. The script prints every mutant's outcome, then the survivors,
 each marked with its reason when it is a known equivalent, and exits
 non-zero when a survivor is not a known equivalent.
 
-Run from the repository root (about 10 minutes on 2 vCPUs):
+Run from the repository root (about 25 minutes on 2 vCPUs):
 
     python tools/mutation_sweep.py
 
@@ -36,16 +40,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# module path -> the functions to mutate (None: the whole module)
-TARGETS = {
-    "src/scentctl/scheduler.py": None,
-    "src/scentctl/simulate.py": ("_evaluate", "summarize"),
-    "src/scentctl/estimator.py": ("classify",),
-}
-
-TEST_FILES = ("tests/test_scheduler.py", "tests/test_simulate.py",
+LOOP_TESTS = ("tests/test_scheduler.py", "tests/test_simulate.py",
               "tests/test_config_cli.py", "tests/test_golden.py",
               "tests/test_acceptance.py")
+
+# module path -> (the functions to mutate, None for the whole module;
+#                 the test files that run first)
+TARGETS = {
+    "src/scentctl/scheduler.py": (None, LOOP_TESTS),
+    "src/scentctl/simulate.py": (("_evaluate", "summarize"), LOOP_TESTS),
+    "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
+    "src/scentctl/ingest.py": (("parse_samples", "reject_artifacts",
+                                "clean_hr", "compute_baseline"),
+                               ("tests/test_ingest.py",)),
+}
 DESELECT = (
     # red by design: it would kill every mutant
     "tests/test_acceptance.py::test_a06_smoothing_step_bound_and_convergence",
@@ -56,34 +64,65 @@ DESELECT = (
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
          ast.IsNot: ast.Is}
+# comparisons passed as functions (``from operator import lt``)
+NAME_SWAPS = {"lt": "le", "le": "lt", "gt": "ge", "ge": "gt"}
 
 # (function, mutated comparison) -> why no test can tell it apart
 EQUIVALENT = {
     ("summarize", "left >= 1"):
         "a command awaited once leaves a zero Counter entry, which counts "
         "as absent: a later pop of it still scores a stray",
+    ("parse_samples", "n + len(batch) >= len(timestamps)"):
+        "it only doubles the columns once more when a batch would fill them "
+        "exactly, and the rows never written are cut off at the end",
+    ("parse_samples", "prev_ts < ts < _TS_MAX"):
+        "a row at 2**63 - 1 in the row loop then takes the checked path, "
+        "which accepts it the same",
 }
 
 
 def _sites(tree: ast.Module, names: tuple[str, ...] | None):
-    """(function name, Compare node, op index) in source order."""
+    """(function name, shown node, mutate) in source order. ``mutate()``
+    swaps one comparison and returns the call that undoes it; the shown
+    node is the comparison, or for a comparison passed as a function the
+    statement's whole expression (``map(lt, ...)`` alone is ambiguous)."""
     sites = []
 
-    def visit(node, func):
+    def swap_op(node, i):
+        def mutate():
+            original = node.ops[i]
+            node.ops[i] = SWAPS[type(original)]()
+            return lambda: node.ops.__setitem__(i, original)
+        return mutate
+
+    def swap_name(node):
+        def mutate():
+            original = node.id
+            node.id = NAME_SWAPS[original]
+            return lambda: setattr(node, "id", original)
+        return mutate
+
+    def visit(node, func, top):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Compare)
-                and (names is None or func in names)):
-            sites.extend((func, node, i) for i, op in enumerate(node.ops)
-                         if type(op) in SWAPS)
+        if names is None or func in names:
+            if isinstance(node, ast.Compare):
+                sites.extend((func, node, swap_op(node, i))
+                             for i, op in enumerate(node.ops)
+                             if type(op) in SWAPS)
+            elif (isinstance(node, ast.Name) and node.id in NAME_SWAPS
+                  and isinstance(node.ctx, ast.Load)):
+                sites.append((func, top, swap_name(node)))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            statement_part = (isinstance(node, ast.stmt)
+                              and isinstance(child, ast.expr))
+            visit(child, func, child if statement_part else top)
 
-    visit(tree, None)
+    visit(tree, None, None)
     return sites
 
 
-def _run_tests(copy: Path, files=TEST_FILES) -> tuple[bool, str]:
+def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
     """Run ``files`` in ``copy``; True when they all pass, else the
     first failure."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
@@ -114,25 +153,25 @@ def main() -> int:
             source = (ROOT / rel).read_text(encoding="utf-8")
             (copy / rel).write_text(ast.unparse(ast.parse(source)),
                                     encoding="utf-8")
-        passed, detail = _run_tests(copy)
-        if not passed:
-            print(f"the unmutated suite fails ({detail}); no sweep",
-                  file=sys.stderr)
-            return 2
+        for files in {files for _, files in TARGETS.values()}:
+            passed, detail = _run_tests(copy, files)
+            if not passed:
+                print(f"the unmutated suite fails ({detail}); no sweep",
+                      file=sys.stderr)
+                return 2
         count = 0
-        for rel, names in TARGETS.items():
+        for rel, (names, files) in TARGETS.items():
             source = (ROOT / rel).read_text(encoding="utf-8")
             tree = ast.parse(source)
-            for func, node, i in _sites(tree, names):
-                original = node.ops[i]
+            for func, node, mutate in _sites(tree, names):
                 before = ast.unparse(node)
-                node.ops[i] = SWAPS[type(original)]()
+                undo = mutate()
                 after = ast.unparse(node)
                 (copy / rel).write_text(ast.unparse(tree), encoding="utf-8")
-                node.ops[i] = original
+                undo()
                 count += 1
                 start = time.perf_counter()
-                passed, detail = _run_tests(copy)
+                passed, detail = _run_tests(copy, files)
                 if passed:
                     passed, detail = _run_tests(copy, ("tests",))
                 where = f"{Path(rel).name}:{node.lineno} {func}"
