@@ -12,23 +12,23 @@ data, safe from any thread.
 
 Ingest is linear in its input. Parsing splits the input into batches of
 lines about 4 KiB at a time. A batch of ordinary RR/HR rows (two numbers
-each, timestamps non-decreasing from the last one kept, positive values)
-is converted and written into the columns in C; any other batch takes a
-row loop, where ordinary rows take a cheap path and the rest a checked
-one that names the offending line. `window_features` builds its context
-lookup (each row's timestamp and the start of its active run) in one
-pass, then pays one bisect per window.
+each, timestamps rising strictly from the last one kept, positive values)
+is converted and written into the columns in C; any other batch is
+checked row by row, naming the offending line. `window_features` builds
+its context lookup (each row's timestamp and the start of its active
+run) in one pass, then pays one bisect per window.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, pairwise, repeat
-from operator import le, lt
+from itertools import pairwise, repeat
+from operator import lt
 from struct import pack_into
 from typing import Callable, Iterator, Sequence
 
@@ -60,8 +60,8 @@ _TS_MAX = 2**63 - 1
 # Parsing splits its input into batches of lines about this many characters
 # long: larger batches hold more per-row objects at once and measured slower.
 _CHUNK_CHARS = 1 << 12
-# `clean_hr` checks this many rows at a time.
-_SCAN_ROWS = 1 << 12
+# The line breaks a batch may end after; "\r\n" is one break.
+_BREAK = re.compile(r"\r\n?|\n")
 
 
 class StreamFormatError(ValueError):
@@ -199,13 +199,14 @@ def _looks_numeric(text: str) -> bool:
 def _batches(text: str) -> Iterator[list[str]]:
     """Yield ``text.splitlines()`` one chunk of ``text`` at a time.
 
-    Each cut falls right after a ``"\n"``, so it never splits a line
-    break (``"\r\n"`` included) and the batches joined are exactly
+    Each cut falls right after a ``"\n"``, ``"\r"`` or ``"\r\n"``, never
+    inside ``"\r\n"``, so the batches joined are exactly
     ``text.splitlines()``.
     """
     pos = 0
     while pos < len(text):
-        cut = text.find("\n", pos + _CHUNK_CHARS - 1) + 1 or len(text)
+        found = _BREAK.search(text, pos + _CHUNK_CHARS - 1)
+        cut = found.end() if found else len(text)
         yield text[pos:cut].splitlines()
         pos = cut
 
@@ -228,10 +229,13 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
     columns = schema != "context"
     n_fields = 2 if columns else 3
 
-    # Both columns are sized once, to one row per "\n", and each row is
-    # written at index ``n``: they never grow a row at a time, so the
-    # peak memory does not depend on how the allocator places them.
+    # Both columns are sized once, to one row per "\n", "\r" or "\r\n",
+    # and each row is written at index ``n``: they never grow a row at a
+    # time, so the peak memory does not depend on how the allocator
+    # places them.
     size = stream.count("\n") + 1
+    if "\r" in stream:
+        size += stream.count("\r") - stream.count("\r\n")
     timestamps = array("q", [0]) * size
     # doubles, or ContextSample rows for ``context``
     values: array | list = array("d", [0.0]) * size if columns else [None] * size
@@ -244,28 +248,20 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
             values *= 2
         if columns:
             # The common batch: every row two numbers, timestamps in range
-            # and non-decreasing from the last one kept, values positive
+            # and rising strictly from the last one kept, values positive
             # (which refuses NaN as ``value > 0`` does). It is converted and
-            # written in C; any other batch takes the row loop. int() and
+            # written in C; any other batch is checked row by row. int() and
             # float() strip the same whitespace as str.strip(), so each row
-            # gives the checked path's sample.
+            # gives the checked sample.
             try:
                 heads, _, tails = zip(*map(str.partition, batch, repeat(",")))
                 ts, vs = list(map(int, heads)), list(map(float, tails))
             except ValueError:
                 pass
             else:
-                rising = prev_ts < ts[0] and all(map(lt, ts, ts[1:]))
-                ordered = rising or (prev_ts <= ts[0] >= 0
-                                     and all(map(le, ts, ts[1:])))
-                if (ordered and ts[-1] <= _TS_MAX
+                if (prev_ts < ts[0] and ts[-1] <= _TS_MAX
+                        and all(map(lt, ts, ts[1:]))
                         and all(map(lt, repeat(0.0), vs))):
-                    if not rising:
-                        # Rows sharing a timestamp: the last value wins.
-                        if ts[0] == prev_ts:
-                            n -= 1
-                        last = [*map(lt, ts, ts[1:]), True]
-                        ts, vs = [*compress(ts, last)], [*compress(vs, last)]
                     pack_into(f"{len(ts)}q", timestamps, 8 * n, *ts)
                     pack_into(f"{len(vs)}d", values, 8 * n, *vs)
                     n += len(ts)
@@ -274,20 +270,6 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
                     continue
         for raw in batch:
             line_no += 1
-            if columns:
-                # The common row, as above, one at a time.
-                a, _, b = raw.partition(",")
-                try:
-                    ts, value = int(a), float(b)
-                except ValueError:
-                    pass
-                else:
-                    if prev_ts < ts <= _TS_MAX and value > 0:
-                        timestamps[n] = ts
-                        values[n] = value
-                        n += 1
-                        prev_ts = ts
-                        continue
             line = raw.strip()
             if not line:
                 continue
@@ -405,17 +387,8 @@ def reject_artifacts(samples: Series) -> Series:
 
 def clean_hr(samples: Series) -> Series:
     """Drop heart-rate samples outside the [20, 250] bpm plausibility range."""
-    # A slice of rows at a time, one shared bool per row rather than an
-    # index per row; the rows to drop are then found in C.
-    values, dropped = samples.values, []
-    for start in range(0, len(values), _SCAN_ROWS):
-        flags = [HR_MIN_BPM <= v <= HR_MAX_BPM
-                 for v in values[start:start + _SCAN_ROWS]]
-        i = -1
-        for _ in range(flags.count(False)):
-            i = flags.index(False, i + 1)
-            dropped.append(start + i)
-    return _drop(samples, dropped)
+    return _drop(samples, [i for i, v in enumerate(samples.values)
+                           if not HR_MIN_BPM <= v <= HR_MAX_BPM])
 
 
 def _std(xs: Sequence[float], ddof: int = 0) -> float:

@@ -213,6 +213,24 @@ def test_parse_and_filter_peak_memory_per_row():
     assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
 
 
+def test_parse_peak_memory_per_row_with_cr_line_breaks():
+    # "\r" alone ends each line: batches and columns are cut and sized at
+    # it as at "\n", so no batch holds the whole stream.
+    rows = 200_000
+    text = "timestamp_ms,rr_ms\r" + "".join(
+        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\r"
+        for i in range(rows))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rr = reject_artifacts(parse_rr_stream(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rr) == rows - rows // 50
+    assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
+
+
 def test_parse_and_filter_build_no_per_sample_objects():
     rr_text = "timestamp_ms,rr_ms\n" + "".join(
         f"{i * 800},{800 + i % 7}.25\n" for i in range(50_000))
@@ -267,6 +285,10 @@ def test_reject_all_rejected_yields_empty():
 def test_clean_hr_range():
     samples = Series((0, 1000, 2000, 3000, 4000), (72.0, 300.0, 10.0, 20.0, 250.0))
     assert clean_hr(samples) == Series((0, 3000, 4000), (72.0, 20.0, 250.0))
+    # NaN and the infinities are out of range; the bounds themselves are in
+    edges = (math.nextafter(20.0, 0.0), math.nextafter(250.0, 300.0),
+             math.nan, math.inf, -math.inf, -0.0, 72.0)
+    assert clean_hr(Series(range(0, 7000, 1000), edges)) == Series((6000,), (72.0,))
 
 
 @given(st.lists(st.floats(min_value=200, max_value=2500), min_size=1, max_size=60))
@@ -694,22 +716,21 @@ def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
 
 
 # Cut 20 characters at a time, these rows fall into the batches shown.
-# A batch with a blank or header-like row, or one that does not continue
-# from the last timestamp kept, takes the row loop; every other one takes
-# the batch path, which writes the timestamps listed (rows sharing a
-# timestamp collapsed to the last). The last timestamp kept must carry
-# across both paths, in both directions, duplicates and line numbers
-# included.
+# A batch with a blank or header-like row, or one whose timestamps do not
+# rise strictly from the last one kept, is checked row by row; every other
+# one takes the batch path, which writes the timestamps listed. The last
+# timestamp kept must carry across both paths, in both directions,
+# duplicates and line numbers included.
 @pytest.mark.parametrize("batches, batch_path", [
     ([["1000,800", "1800,810", "2600,805"],
       ["3400,800", "", "3400,790", "4200,795"],
-      ["4200,700", "5000,800", "5800,810"]],
-     [[1000, 1800, 2600], [4200, 5000, 5800]]),
+      ["5000,700", "5800,800", "6600,810"]],
+     [[1000, 1800, 2600], [5000, 5800, 6600]]),
     ([["1000,800", "1800,810", "2600,805"],
       ["2600,700", "3400,800", "3400,790"],
       ["4200,800", "", "4200,795", "5000,800"],
-      ["5000,700"]],
-     [[1000, 1800, 2600], [2600, 3400], [5000]]),
+      ["5800,700"]],
+     [[1000, 1800, 2600], [5800]]),
     ([["1000,800", "1800,810", "2600,805"],
       ["3400,800", "ts,rr_ms", "4200,795"],
       ["5000,800"]],
@@ -718,7 +739,7 @@ def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
       ["3400,800", "", "4200,795", "4200,700"],
       ["4100,800", "5000,800", "5800,810"]],
      [[1000, 1800, 2600]]),
-    ([["0,800", "0,790", "800,805"]], [[0, 800]]),
+    ([["0,800", "0,790", "800,805"]], []),
     ([["0,800", f"{2**63 - 1},800"]], [[0, 2**63 - 1]]),
 ], ids=["blank-row", "duplicates", "header-like-row", "decrease-after-row-loop",
         "duplicate-at-zero", "largest-timestamp"])
@@ -916,12 +937,11 @@ def test_window_features_match_every_stride_reference(traces, window_len_s,
     assert repr(window_features(*args)) == repr(reference_window_features(*args))
 
 
-# -- bit identity of the HRV kernels, the baseline and the HR filter --------
+# -- bit identity of the HRV kernels and the baseline ------------------------
 #
 # Verbatim copies (but for their names) of the kernels as they were when
-# they called `statistics.fmean`, and of `clean_hr` as it was when it
-# collected dropped indices with `enumerate`. The new code must give the
-# same bits: results are compared by `repr`.
+# they called `statistics.fmean`. The new code must give the same bits:
+# results are compared by `repr`.
 
 def _ref_std(xs: Sequence[float], ddof: int = 0) -> float:
     """Std with divisor ``len(xs) - ddof``, centred on ``xs[0]`` so constants give 0.0."""
@@ -962,12 +982,6 @@ def _ref_compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
         rmssd_scale=max(_ref_std(rmssd, ddof=1), ingest.RMSSD_SCALE_FLOOR),
         sdnn_scale=max(_ref_std(sdnn, ddof=1), ingest.SDNN_SCALE_FLOOR),
     )
-
-
-def _ref_clean_hr(samples: Series) -> Series:
-    """Drop heart-rate samples outside the [20, 250] bpm plausibility range."""
-    return ingest._drop(samples, [i for i, v in enumerate(samples.values)
-                                  if not ingest.HR_MIN_BPM <= v <= ingest.HR_MAX_BPM])
 
 
 @st.composite
@@ -1041,23 +1055,3 @@ def test_baseline_flat_calibration_is_insufficient_data():
                        match="baseline calibration is flat: the RR intervals of "
                              "all 3 calibration windows are constant"):
         compute_baseline(flat)
-
-
-_HR_EDGES = [20.0, 250.0, math.nextafter(20.0, 0.0), math.nextafter(250.0, 300.0),
-             math.nan, math.inf, -math.inf, 0.0, -0.0, 72.0]
-
-
-@settings(max_examples=300)
-@example([20.0, 250.0], 4096)
-@example([math.nan, math.inf, -math.inf, 20.0, 250.0, 19.9, 250.1], 3)
-@given(st.lists(st.one_of(st.sampled_from(_HR_EDGES), st.floats()), max_size=60),
-       st.integers(1, 8))
-def test_clean_hr_matches_enumerate_reference(values, scan_rows):
-    samples = _rr(values, step=1000)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_SCAN_ROWS", scan_rows)
-        out = clean_hr(samples)
-    ref = _ref_clean_hr(samples)
-    assert (repr(tuple(out.timestamps)), repr(tuple(out.values))) == (
-        repr(tuple(ref.timestamps)), repr(tuple(ref.values)))
-    assert (out is samples) == (ref is samples)

@@ -75,9 +75,6 @@ EQUIVALENT = {
     ("parse_samples", "n + len(batch) >= len(timestamps)"):
         "it only doubles the columns once more when a batch would fill them "
         "exactly, and the rows never written are cut off at the end",
-    ("parse_samples", "prev_ts < ts < _TS_MAX"):
-        "a row at 2**63 - 1 in the row loop then takes the checked path, "
-        "which accepts it the same",
 }
 
 
