@@ -14,9 +14,9 @@ Ingest is linear in its input. Parsing splits the input into batches of
 lines about 4 KiB at a time. A batch of ordinary RR/HR rows (two numbers
 each, timestamps rising strictly from the last one kept, positive values)
 is converted and written into the columns in C; any other batch is
-checked row by row, naming the offending line. `window_features` builds
-its context lookup (each row's timestamp and the start of its active
-run) in one pass, then pays one bisect per window.
+checked row by row, naming the offending line. `window_features` pays
+two bisects per stream and window, and advances through the context
+rows as its window ends do, reading each row once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import pairwise, repeat
 from operator import lt
 from struct import pack_into
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 # Physiologically plausible inter-beat interval range, ms.
 RR_MIN_MS = 300.0
@@ -455,43 +455,6 @@ def compute_baseline(calibration: Sequence[FeatureWindow]) -> Baseline:
     )
 
 
-def _context_lookup(
-        samples: Sequence[ContextSample]) -> Callable[[int], ContextFlags]:
-    """Build, in one pass over ``samples``, the contextual flags at ``t``.
-
-    Continuous work minutes accumulate from the start of the current
-    unbroken ``session_active`` run and reset to zero whenever the
-    session is inactive. With no context stream the session is assumed
-    active (continuous desk work) from time zero; state before the first
-    record extends the first record backwards, and an active run that
-    reaches the first record counts from time zero.
-
-    The pass records each row's timestamp and the start of the active run
-    the row belongs to, so each lookup is one bisect.
-    """
-    if not samples:
-        return lambda t: ContextFlags(t / 60000.0, ActivityState.SEDENTARY, True)
-    timestamps: list[int] = []
-    run_starts: list[int] = []
-    run_start, prev_active = 0, True
-    for s in samples:
-        if s.session_active and not prev_active:
-            run_start = s.timestamp
-        prev_active = s.session_active
-        timestamps.append(s.timestamp)
-        run_starts.append(run_start)
-
-    def flags_at(t: int) -> ContextFlags:
-        idx = max(bisect.bisect_right(timestamps, t) - 1, 0)
-        current = samples[idx]
-        if not current.session_active:
-            return ContextFlags(0.0, current.activity_state, False)
-        return ContextFlags((t - run_starts[idx]) / 60000.0,
-                            current.activity_state, True)
-
-    return flags_at
-
-
 def window_features(
     rr: Series,
     hr: Series,
@@ -507,6 +470,13 @@ def window_features(
     error, and the sweep jumps over strides that cannot hold two. Mean
     HR comes from the HR samples inside the window when any exist,
     otherwise it is derived from the window's mean RR interval.
+
+    A window's context is the last row stamped at or before its end; rows
+    before the first one inherit it. Continuous work minutes count from
+    the start of that row's unbroken ``session_active`` run (time zero for
+    a run that reaches the first row) and are zero while the session is
+    inactive. With no context stream the session is one active, sedentary
+    run from time zero.
     """
     if window_len_s < 60:
         raise ValueError("window_len_s must be at least 60 s")
@@ -523,7 +493,10 @@ def window_features(
         return []
     trace_end = max(ends)
 
-    flags_at = _context_lookup(context)
+    # Window ends only increase, so the row in effect and the start of its
+    # active run advance with the sweep, each row read once.
+    rows = iter(context or (ContextSample(0, True, ActivityState.SEDENTARY),))
+    row, following, run_start = next(rows), next(rows, None), 0
     windows: list[FeatureWindow] = []
     start = 0
     while start + window_ms <= trace_end:
@@ -545,6 +518,10 @@ def window_features(
             mean_hr = math.fsum(hr_v[j0:j1]) / (j1 - j0)
         else:
             mean_hr = 60000.0 / (math.fsum(seg) / (i1 - i0))
+        while following is not None and following.timestamp <= end:
+            if following.session_active and not row.session_active:
+                run_start = following.timestamp
+            row, following = following, next(rows, None)
         windows.append(FeatureWindow(
             window_start=start,
             window_end=end,
@@ -554,7 +531,9 @@ def window_features(
             z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
             z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
             z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
-            context=flags_at(end),
+            context=ContextFlags(
+                (end - run_start) / 60000.0 if row.session_active else 0.0,
+                row.activity_state, row.session_active),
         ))
         start += stride_ms
     return windows

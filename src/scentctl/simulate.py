@@ -17,6 +17,7 @@ operator aggregates and an audit against the constraints and config.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter
@@ -182,8 +183,10 @@ class SimulatorConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.hr_noise_bpm < 0:
             raise ValueError("hr_noise_bpm must be non-negative")
-        if self.hr_cadence_s <= 0 or self.context_cadence_s <= 0:
-            raise ValueError("cadences must be positive")
+        # generate_session steps its HR and context rows in whole milliseconds
+        for name in ("hr_cadence_s", "context_cadence_s"):
+            if round(getattr(self, name) * 1000) < 1:
+                raise ValueError(f"{name} must round to at least 1 ms")
 
 
 @dataclass(slots=True)
@@ -288,9 +291,10 @@ def _round6(x: float) -> float:
 def replay(traces: Traces, config: "Config") -> Iterator[dict]:
     """Calibrate on the traces, then return the stream of their records.
 
-    Filtering and the baseline of the first calibration span run before
-    this returns, so input errors raise here. The iterator evaluates each
-    later window as it is consumed and yields its records in time order.
+    Filtering, the baseline (from the calibration span's rows alone) and
+    one feature pass over the whole session run before this returns, so
+    input errors raise here. The iterator runs the loop on each window
+    after the span as it is consumed and yields its records in time order.
     """
     rr = reject_artifacts(traces.rr)
     hr = clean_hr(traces.hr)
@@ -305,8 +309,14 @@ def replay(traces: Traces, config: "Config") -> Iterator[dict]:
             f"{found}, but baseline calibration needs beats before "
             f"{calib_ms} ms; timestamps are milliseconds since session start")
 
+    def head(series: Series) -> Series:
+        # The rows before calib_ms and the first one at or after it: the
+        # trace's end decides whether the window ending at calib_ms exists.
+        n = bisect.bisect_left(series.timestamps, calib_ms) + 1
+        return Series(series.timestamps[:n], series.values[:n])
+
     calibration = [w for w in window_features(
-        rr, hr, traces.context, Baseline.provisional(),
+        head(rr), head(hr), traces.context, Baseline.provisional(),
         ing.window_len_s, ing.stride_s) if w.window_end <= calib_ms]
     baseline = compute_baseline(calibration)
     windows = window_features(

@@ -180,6 +180,8 @@ def test_scheduler_keys_are_its_fields():
     ("scheduler", "min_interval_s = inf"),
     ("scheduler", "repeat_check_horizon_s = nan"),
     ("simulator", "hr_cadence_s = nan"),
+    ("simulator", "hr_cadence_s = 0.0004"),        # rounds to a 0 ms cadence
+    ("simulator", "context_cadence_s = 0.0005"),   # so does this (half to even)
     ("estimator", "persistence_threshold_s = nan"),
     ("estimator", "recovery_window_s = inf"),
 ])
@@ -188,6 +190,14 @@ def test_cli_validate_rejects_configs_that_cannot_run(tmp_path, capsys,
     config = _write(tmp_path, "bad.ini", f"[{section}]\n{entry}\n")
     assert main(["validate", "--config", config]) == 3
     assert f"validation error: [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["hr_cadence_s", "context_cadence_s"])
+def test_simulator_cadence_rounds_to_at_least_1_ms(name):
+    assert round(getattr(SimulatorConfig(**{name: 0.0006}), name) * 1000) == 1
+    for seconds in (0.0005, 0.0004, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"{name} must round to at least 1 ms"):
+            SimulatorConfig(**{name: seconds})
 
 
 def test_ingest_calibration_boundary_is_inclusive():
@@ -661,13 +671,15 @@ def test_cli_replay_epoch_ms_hr_trace_finishes(tmp_path):
 
 
 def test_cli_replay_late_first_beat_exits_2_without_output(tmp_path, capsys):
-    # 20 minutes of beats that start 10 minutes in, after calibration ends
-    rr = _write(tmp_path, "rr.csv", "".join(
-        f"{600_000 + i * 800},800\n" for i in range(1500)))
-    out = tmp_path / "x"
-    assert main(["replay", "--rr", rr, "--out", str(out)]) == 2
-    assert "first kept RR beat is at 600000 ms" in capsys.readouterr().err
-    assert not out.exists()
+    # 20 minutes of beats that start 10 minutes in, after calibration ends,
+    # or exactly at its end
+    for first in (600_000, 300_000):
+        rr = _write(tmp_path, "rr.csv", "".join(
+            f"{first + i * 800},800\n" for i in range(1500)))
+        out = tmp_path / "x"
+        assert main(["replay", "--rr", rr, "--out", str(out)]) == 2
+        assert f"first kept RR beat is at {first} ms" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_replay_sub_millisecond_stride_exits_3(tmp_path):
@@ -678,6 +690,15 @@ def test_cli_replay_sub_millisecond_stride_exits_3(tmp_path):
                             "--out", str(tmp_path / "x")], timeout=20)
     assert proc.returncode == 3, proc.stderr
     assert "stride_s must round to at least 1 ms" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["hr_cadence_s", "context_cadence_s"])
+def test_cli_synth_sub_millisecond_cadence_exits_3(tmp_path, capsys, name):
+    config = _write(tmp_path, "tiny.ini", f"[simulator]\n{name} = 0.0004\n")
+    code, out = _synth(tmp_path, "run", "--config", config)
+    assert code == 3
+    assert f"{name} must round to at least 1 ms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_replay_malformed_csv_exit_2(tmp_path, capsys):

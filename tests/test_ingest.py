@@ -11,7 +11,7 @@ import tracemalloc
 from array import array
 from itertools import compress, pairwise
 from statistics import fmean
-from typing import Sequence
+from typing import Callable, Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,7 +41,6 @@ from scentctl.ingest import (
     render_hr_csv,
     render_rr_csv,
     window_features,
-    _context_lookup,
 )
 
 
@@ -428,9 +427,20 @@ def test_baseline_rejects_non_positive():
 
 # -- context derivation -----------------------------------------------------
 
+def _context_at(ctx, t):
+    """The context `window_features` gives its one window, [0, t).
+
+    ``t`` must be at least 60 s, the shortest window."""
+    rr = Series((0, 1, t), (800.0, 800.0, 800.0))
+    [window] = window_features(rr, Series((), ()), ctx, Baseline.provisional(),
+                               t / 1000, 60)
+    assert window.window_end == t
+    return window.context
+
+
 def test_context_accumulates_work_minutes():
     ctx = [ContextSample(0, True, ActivityState.SEDENTARY)]
-    flags = _context_lookup(ctx)(30 * 60000)
+    flags = _context_at(ctx, 30 * 60000)
     assert flags.work_minutes_continuous == pytest.approx(30.0)
     assert flags.session_active
 
@@ -441,13 +451,13 @@ def test_context_resets_on_break():
         ContextSample(20 * 60000, False, ActivityState.ACTIVE),
         ContextSample(25 * 60000, True, ActivityState.SEDENTARY),
     ]
-    assert _context_lookup(ctx)(22 * 60000).work_minutes_continuous == 0.0
-    after = _context_lookup(ctx)(35 * 60000)
+    assert _context_at(ctx, 22 * 60000).work_minutes_continuous == 0.0
+    after = _context_at(ctx, 35 * 60000)
     assert after.work_minutes_continuous == pytest.approx(10.0)
 
 
 def test_context_defaults_without_stream():
-    flags = _context_lookup([])(45 * 60000)
+    flags = _context_at([], 45 * 60000)
     assert flags.session_active
     assert flags.work_minutes_continuous == pytest.approx(45.0)
 
@@ -792,20 +802,44 @@ def _context_streams(draw):
 _SED = ActivityState.SEDENTARY
 
 
-@example([], [0, 45 * 60000])
-@example([ContextSample(60000, True, _SED)], [30000, 60000, 120000])
-@example([ContextSample(60000, False, _SED), ContextSample(90000, True, _SED)],
-         [0, 60000, 120000])
-@example([ContextSample(5000, True, _SED), ContextSample(9000, True, _SED),
-          ContextSample(20000, False, _SED), ContextSample(30000, True, _SED)],
-         [0, 10000, 25000, 40000])
-@given(_context_streams(), st.lists(st.integers(-1000, 1_200_000),
+# A window end is at least one window length, 60 s, so the times here
+# start there: the rows are placed around them.
+@example([], [60000, 45 * 60000])
+@example([ContextSample(90000, True, _SED)], [60000, 90000, 120000])
+@example([ContextSample(90000, False, _SED), ContextSample(120000, True, _SED)],
+         [60000, 90000, 150000])
+@example([ContextSample(65000, True, _SED), ContextSample(69000, True, _SED),
+          ContextSample(80000, False, _SED), ContextSample(90000, True, _SED)],
+         [60000, 70000, 85000, 100000])
+# rows stamped exactly at the time
+@example([ContextSample(0, True, _SED), ContextSample(120000, False, _SED),
+          ContextSample(180000, True, ActivityState.ACTIVE)],
+         [120000, 180000, 240000])
+# an inactive first row after the first time
+@example([ContextSample(150000, False, ActivityState.ACTIVE),
+          ContextSample(200000, True, _SED)], [120000, 150000, 260000])
+# duplicate timestamps: the last row wins
+@example([ContextSample(60000, False, _SED), ContextSample(90000, True, _SED),
+          ContextSample(90000, False, ActivityState.ACTIVE),
+          ContextSample(130000, True, _SED), ContextSample(130000, True, _SED)],
+         [90000, 120000, 130000, 200000])
+@given(_context_streams(), st.lists(st.integers(60000, 1_200_000),
                                     min_size=1, max_size=10))
 def test_context_at_matches_reference(ctx, times):
     for t in times:
-        assert _context_lookup(ctx)(t) == reference_context_at(ctx, t)
+        assert _context_at(ctx, t) == reference_context_at(ctx, t)
 
 
+# rows stamped exactly at window ends
+@example([ContextSample(0, False, _SED), ContextSample(120000, True, _SED),
+          ContextSample(180000, False, _SED), ContextSample(240000, True, _SED)])
+# an inactive first row after the first window end
+@example([ContextSample(150000, False, ActivityState.ACTIVE),
+          ContextSample(270000, True, _SED)])
+# duplicate timestamps, one of them at a window end
+@example([ContextSample(30000, False, _SED), ContextSample(180000, True, _SED),
+          ContextSample(180000, False, _SED), ContextSample(200000, True, _SED),
+          ContextSample(200000, True, ActivityState.ACTIVE)])
 @given(_context_streams())
 def test_window_context_matches_reference(ctx):
     rr = _series((t, 800.0) for t in range(0, 600001, 4000))
@@ -842,9 +876,47 @@ def test_window_features_reads_context_linearly():
     assert 0 < ctx.reads <= 2 * len(ctx) + len(windows)
 
 
-# `window_features` as it was when it walked every stride from t = 0
-# (verbatim but for its name); the sweep that jumps over strides holding
-# fewer than two beats must emit exactly the same windows.
+# `window_features` as it was when it walked every stride from t = 0, and
+# the context lookup it called before the sweep tracked the context run
+# itself (both verbatim but for their names); the sweep that jumps over
+# strides holding fewer than two beats must emit exactly the same windows.
+
+def _ref_context_lookup(
+        samples: Sequence[ContextSample]) -> Callable[[int], ContextFlags]:
+    """Build, in one pass over ``samples``, the contextual flags at ``t``.
+
+    Continuous work minutes accumulate from the start of the current
+    unbroken ``session_active`` run and reset to zero whenever the
+    session is inactive. With no context stream the session is assumed
+    active (continuous desk work) from time zero; state before the first
+    record extends the first record backwards, and an active run that
+    reaches the first record counts from time zero.
+
+    The pass records each row's timestamp and the start of the active run
+    the row belongs to, so each lookup is one bisect.
+    """
+    if not samples:
+        return lambda t: ContextFlags(t / 60000.0, ActivityState.SEDENTARY, True)
+    timestamps: list[int] = []
+    run_starts: list[int] = []
+    run_start, prev_active = 0, True
+    for s in samples:
+        if s.session_active and not prev_active:
+            run_start = s.timestamp
+        prev_active = s.session_active
+        timestamps.append(s.timestamp)
+        run_starts.append(run_start)
+
+    def flags_at(t: int) -> ContextFlags:
+        idx = max(bisect.bisect_right(timestamps, t) - 1, 0)
+        current = samples[idx]
+        if not current.session_active:
+            return ContextFlags(0.0, current.activity_state, False)
+        return ContextFlags((t - run_starts[idx]) / 60000.0,
+                            current.activity_state, True)
+
+    return flags_at
+
 
 def reference_window_features(
     rr: Series,
@@ -870,7 +942,7 @@ def reference_window_features(
     window_ms = round(window_len_s * 1000)
     stride_ms = round(stride_s * 1000)
 
-    flags_at = _context_lookup(context)
+    flags_at = _ref_context_lookup(context)
     windows: list[FeatureWindow] = []
     start = 0
     while start + window_ms <= trace_end:
@@ -924,6 +996,7 @@ def _sparse_traces(draw):
 @example((_rr([800.0] * 2, start=10**7 + 1), _rr([70.0], start=2 * 10**7)),
          60.0, 60.0)
 @example((_rr([800.0] * 2, start=5), _rr([70.0], start=10**7)), 60.0, 0.5)
+@example((_rr([800.0] * 80), _rr([70.0] * 60, step=1000)), 60.0, 0.001)  # 1 ms
 @given(_sparse_traces(),
        st.floats(60, 600),
        st.one_of(st.sampled_from([0.5, 1, 30, 60, 61.3]), st.floats(0.5, 900)))

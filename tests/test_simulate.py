@@ -12,6 +12,7 @@ import signal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scentctl import ingest
 from scentctl.config import Config, IngestConfig
 from scentctl.estimator import (
     AVState,
@@ -61,6 +62,7 @@ from scentctl.simulate import (
     ScriptError,
     SessionBlock,
     SessionPlan,
+    Traces,
     default_plan,
     generate_session,
     _round6,
@@ -710,6 +712,29 @@ def _loop_cases(draw):
 _SUSTAINED = [(8.0, 47.0, EpisodeKind.STRESS, 1.0)]
 
 
+def _drop(traces, start, end):
+    """``traces`` without the RR and HR rows stamped in [start, end)."""
+    def keep(series):
+        rows = [(t, v) for t, v in zip(series.timestamps, series.values)
+                if not start <= t < end]
+        return Series([t for t, _ in rows], [v for _, v in rows])
+    return dataclasses.replace(traces, rr=keep(traces.rr), hr=keep(traces.hr))
+
+
+def _rr_only(seed, minutes=20.0):
+    """RR alone, with no HR and no context: beats of 700 ms plus Gaussian
+    jitter, none of them at the end of the calibration span."""
+    rng = random.Random(seed)
+    ts, values, t = [], [], 0.0
+    while t < minutes * 60000:
+        beat = round(rng.gauss(700.0, 4.0), 3)
+        t += beat
+        ts.append(round(t))
+        values.append(beat)
+    assert round(CFG.ingest.calibration_minutes * 60000) not in ts
+    return Traces(Series(ts, values), Series((), ()), [])
+
+
 @settings(max_examples=25, deadline=None)
 @example(_loop_case(1, _SUSTAINED, 30.0, min_interval_s=1.0,  # end on a window end
                     **_bursts(30.0)))
@@ -717,6 +742,11 @@ _SUSTAINED = [(8.0, 47.0, EpisodeKind.STRESS, 1.0)]
                     **_bursts(30.0)))
 @example(_loop_case(1, _SUSTAINED, 1.0, min_interval_s=1.0,  # end == start
                     **_bursts(0.0004)))
+# Calibration reads the rows before its span's end and the first one after
+# it; with no row at that end, only that row lets the window ending there
+# exist. RR alone, then a dropout across that end:
+@example((_rr_only(3), CFG))
+@example((_drop(_loop_case(1, _SUSTAINED, 60.0)[0], 250_000, 400_000), CFG))
 @given(_loop_cases())
 def test_replay_stream_matches_sorted_reference(case):
     traces, config = case
@@ -725,6 +755,21 @@ def test_replay_stream_matches_sorted_reference(case):
         expected = _ref_replay(traces, config)
     assert stream == expected
     assert summarize(stream, config) == summarize(expected, config)
+
+
+def test_replay_makes_one_session_pass(monkeypatch):
+    traces, config = _loop_case(1, _SUSTAINED, 60.0)
+    windows = window_features(reject_artifacts(traces.rr), clean_hr(traces.hr),
+                              traces.context, Baseline.provisional())
+    calib_ms = round(config.ingest.calibration_minutes * 60000)
+    calibration = sum(w.window_end <= calib_ms for w in windows)
+    calls = []
+    kernel = ingest.compute_rmssd
+    monkeypatch.setattr(ingest, "compute_rmssd",
+                        lambda rr: calls.append(None) or kernel(rr))
+    list(replay(traces, config))
+    assert (len(windows), calibration) == (54, 4)
+    assert len(calls) <= len(windows) + calibration
 
 
 # -- causality ----------------------------------------------------------------
@@ -743,15 +788,6 @@ def _cut(traces, t):
     return dataclasses.replace(
         traces, rr=head(traces.rr), hr=head(traces.hr),
         context=[row for row in traces.context if row.timestamp <= t])
-
-
-def _drop(traces, start, end):
-    """``traces`` without the RR and HR rows stamped in [start, end)."""
-    def keep(series):
-        rows = [(t, v) for t, v in zip(series.timestamps, series.values)
-                if not start <= t < end]
-        return Series([t for t, _ in rows], [v for _, v in rows])
-    return dataclasses.replace(traces, rr=keep(traces.rr), hr=keep(traces.hr))
 
 
 @st.composite

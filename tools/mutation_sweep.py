@@ -6,10 +6,10 @@ Swaps one comparison at a time: an operator (``<``/``<=``, ``>``/``>=``,
 
 - every function of ``scentctl/scheduler.py`` (``SchedulerConfig``'s
   validation included);
-- ``simulate._evaluate`` and ``simulate.summarize``;
+- ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
-- ``ingest.parse_samples``, ``reject_artifacts``, ``clean_hr`` and
-  ``compute_baseline``.
+- ``ingest.parse_samples``, ``reject_artifacts``, ``clean_hr``,
+  ``compute_baseline`` and ``window_features``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
@@ -19,7 +19,7 @@ survivor. The script prints every mutant's outcome, then the survivors,
 each marked with its reason when it is a known equivalent, and exits
 non-zero when a survivor is not a known equivalent.
 
-Run from the repository root (about 25 minutes on 2 vCPUs):
+Run from the repository root (about 45 minutes on 2 vCPUs):
 
     python tools/mutation_sweep.py
 
@@ -48,12 +48,17 @@ LOOP_TESTS = ("tests/test_scheduler.py", "tests/test_simulate.py",
 #                 the test files that run first)
 TARGETS = {
     "src/scentctl/scheduler.py": (None, LOOP_TESTS),
-    "src/scentctl/simulate.py": (("_evaluate", "summarize"), LOOP_TESTS),
+    "src/scentctl/simulate.py": (("replay", "_evaluate", "summarize"),
+                                 LOOP_TESTS),
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
     "src/scentctl/ingest.py": (("parse_samples", "reject_artifacts",
-                                "clean_hr", "compute_baseline"),
+                                "clean_hr", "compute_baseline",
+                                "window_features"),
                                ("tests/test_ingest.py",)),
 }
+# A test run that takes longer counts as a kill: a mutant can make a loop
+# spin forever. The whole suite takes about 2 minutes on 2 vCPUs.
+RUN_TIMEOUT_S = 300
 DESELECT = (
     # red by design: it would kill every mutant
     "tests/test_acceptance.py::test_a06_smoothing_step_bound_and_convergence",
@@ -121,14 +126,17 @@ def _sites(tree: ast.Module, names: tuple[str, ...] | None):
 
 def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
     """Run ``files`` in ``copy``; True when they all pass, else the
-    first failure."""
+    first failure, or a timeout."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("SCENTCTL_CONFIG", None)
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             *files, *(f"--deselect={test}" for test in DESELECT)]
-    proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True,
-                          text=True)
+    try:
+        proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, "a timeout"
     failed = [line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     return proc.returncode == 0, (failed[0] if failed else proc.stdout[-200:])
