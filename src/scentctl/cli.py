@@ -27,20 +27,17 @@ from .ingest import (
     parse_context_stream,
     parse_hr_stream,
     parse_rr_stream,
-    render_context_csv,
-    render_hr_csv,
-    render_rr_csv,
+    write_context_csv,
+    write_series_csv,
 )
 from .scents import expression_for
 from .simulate import (
     BlockKind,
     Episode,
     EpisodeKind,
-    EpisodeScript,
     ScriptError,
     SessionBlock,
     SessionPlan,
-    Traces,
     default_plan,
     generate_session,
     replay,
@@ -139,20 +136,20 @@ def _parse_blocks(text: str) -> SessionPlan:
     return SessionPlan(tuple(blocks))
 
 
-def _parse_script(text: str) -> EpisodeScript:
+def _parse_script(text: str) -> tuple[Episode, ...]:
     episodes = []
-    seen_data = False
+    first = True
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
-        if not seen_data:
+        if first:
+            first = False
             try:
                 float(fields[0])
             except ValueError:
-                continue  # header line
-        seen_data = True
+                continue  # header line: only the first may be one
         if len(fields) != 4:
             raise ScriptError(f"script line {line_no}: expected 4 fields")
         try:
@@ -164,7 +161,7 @@ def _parse_script(text: str) -> EpisodeScript:
             ))
         except ValueError as exc:
             raise ScriptError(f"script line {line_no}: {exc}") from None
-    return EpisodeScript(tuple(episodes))
+    return tuple(episodes)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -172,7 +169,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     rr = parse_rr_stream(_read_text(args.rr))
     hr = parse_hr_stream(_read_text(args.hr)) if args.hr else Series((), ())
     context = parse_context_stream(_read_text(args.context)) if args.context else []
-    records = replay(Traces(rr, hr, context), config)
+    records = replay(rr, hr, context, config)
     out_dir = Path(args.out)
     summary = _write_outputs(out_dir, records, config)
     print(f"wrote {out_dir / 'events.ndjson'} and {out_dir / 'summary.json'} "
@@ -191,18 +188,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ScriptError(
             f"plan of {plan.total_minutes:g} min is shorter than the "
             f"{config.ingest.calibration_minutes:g}-minute baseline calibration")
-    script = _parse_script(_read_text(args.script)) if args.script \
-        else EpisodeScript()
+    script = _parse_script(_read_text(args.script)) if args.script else ()
 
-    traces = generate_session(config.seed, plan, script, config.simulator)
-    records = replay(traces, config)
+    rr, hr, context = generate_session(config.seed, plan, script, config.simulator)
+    records = replay(rr, hr, context, config)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "rr.csv").write_text(render_rr_csv(traces.rr), encoding="utf-8")
-    (out_dir / "hr.csv").write_text(render_hr_csv(traces.hr), encoding="utf-8")
-    (out_dir / "context.csv").write_text(
-        render_context_csv(traces.context), encoding="utf-8")
+    with (out_dir / "rr.csv").open("w", encoding="utf-8") as out:
+        write_series_csv(out, rr, "rr_ms")
+    with (out_dir / "hr.csv").open("w", encoding="utf-8") as out:
+        write_series_csv(out, hr, "hr_bpm")
+    with (out_dir / "context.csv").open("w", encoding="utf-8") as out:
+        write_context_csv(out, context)
     summary = _write_outputs(out_dir, records, config)
     work = sum(b.minutes for b in plan.blocks if b.kind is BlockKind.WORK)
     print(f"plan: {len(plan.blocks)} blocks, {plan.total_minutes:g} min "

@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import pairwise, repeat
 from operator import lt
 from struct import pack_into
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 # Physiologically plausible inter-beat interval range, ms.
 RR_MIN_MS = 300.0
@@ -211,21 +211,19 @@ def _batches(text: str) -> Iterator[list[str]]:
         pos = cut
 
 
-def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSample]:
+def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     """Parse a line-oriented CSV sample stream.
 
     Schemas: ``rr`` (`timestamp_ms,rr_ms`) and ``hr`` (`timestamp_ms,hr_bpm`)
     give a `Series`, ``context`` (`timestamp_ms,session_active,activity_state`)
-    a `ContextSample` list. A header line is optional and detected by a
-    non-numeric first field.
+    a `ContextSample` list. A header line is optional: the first non-blank
+    line, when its first field is not a number.
 
     Timestamps must be non-decreasing and fit in 64 bits; rows sharing a
     timestamp collapse to the last value. Raises StreamFormatError (with
     the offending line number) on malformed rows or decreasing or
     out-of-range timestamps, and on an empty stream.
     """
-    if schema not in ("rr", "hr", "context"):
-        raise ValueError(f"unknown stream schema {schema!r}")
     columns = schema != "context"
     n_fields = 2 if columns else 3
 
@@ -242,6 +240,7 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
     n = 0
     prev_ts = -1  # below every valid timestamp
     line_no = 0
+    headed = False
     for batch in _batches(stream):
         while n + len(batch) > len(timestamps):  # other line breaks
             timestamps *= 2
@@ -274,8 +273,11 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
             if not line:
                 continue
             fields = [f.strip() for f in line.split(",")]
-            if not n and not _looks_numeric(fields[0]):
-                continue  # optional header
+            # With no row and no header before it, this is the first
+            # non-blank line: the only one that may be a header.
+            if not n and not headed and not _looks_numeric(fields[0]):
+                headed = True
+                continue
             if len(fields) != n_fields:
                 raise StreamFormatError(
                     f"expected {n_fields} fields, got {len(fields)}", line_no)
@@ -324,32 +326,29 @@ def parse_samples(stream: str, schema: str = "rr") -> Series | list[ContextSampl
 
 
 def parse_rr_stream(stream: str) -> Series:
-    return parse_samples(stream, "rr")
+    return _parse_samples(stream, "rr")
 
 
 def parse_hr_stream(stream: str) -> Series:
-    return parse_samples(stream, "hr")
+    return _parse_samples(stream, "hr")
 
 
 def parse_context_stream(stream: str) -> list[ContextSample]:
-    return parse_samples(stream, "context")
+    return _parse_samples(stream, "context")
 
 
-def render_rr_csv(samples: Series) -> str:
-    return "timestamp_ms,rr_ms\n" + "".join(
-        f"{t},{v:.3f}\n" for t, v in zip(samples.timestamps, samples.values))
+def write_series_csv(out: TextIO, samples: Series, value_name: str) -> None:
+    """Write an RR or HR stream as CSV, under the header
+    ``timestamp_ms,<value_name>``, one row at a time."""
+    out.write(f"timestamp_ms,{value_name}\n")
+    out.writelines(f"{t},{v:.3f}\n" for t, v in zip(samples.timestamps, samples.values))
 
 
-def render_hr_csv(samples: Series) -> str:
-    return "timestamp_ms,hr_bpm\n" + "".join(
-        f"{t},{v:.3f}\n" for t, v in zip(samples.timestamps, samples.values))
-
-
-def render_context_csv(samples: Sequence[ContextSample]) -> str:
-    lines = ["timestamp_ms,session_active,activity_state"]
-    lines += [f"{s.timestamp},{1 if s.session_active else 0},{s.activity_state.value}"
-              for s in samples]
-    return "\n".join(lines) + "\n"
+def write_context_csv(out: TextIO, samples: Iterable[ContextSample]) -> None:
+    """Write a context stream as CSV, one row at a time."""
+    out.write("timestamp_ms,session_active,activity_state\n")
+    out.writelines(f"{s.timestamp},{1 if s.session_active else 0},"
+                   f"{s.activity_state.value}\n" for s in samples)
 
 
 def _drop(samples: Series, dropped: list[int]) -> Series:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .estimator import (
     AVState,
@@ -139,23 +140,6 @@ class Episode:
 
 
 @dataclass(frozen=True, slots=True)
-class EpisodeScript:
-    episodes: tuple[Episode, ...] = ()
-
-    def validate(self, plan: SessionPlan) -> None:
-        ordered = sorted(self.episodes, key=lambda e: e.start_min)
-        for prev, nxt in zip(ordered, ordered[1:]):
-            if nxt.start_min < prev.end_min:
-                raise ScriptError(
-                    f"episodes overlap at minute {nxt.start_min:g}")
-        for ep in ordered:
-            if ep.end_min > plan.total_minutes:
-                raise ScriptError(
-                    f"episode ending at minute {ep.end_min:g} exceeds the "
-                    f"{plan.total_minutes:g}-minute session")
-
-
-@dataclass(frozen=True, slots=True)
 class SimulatorConfig:
     """Shape of the synthetic RR/HR streams."""
 
@@ -189,13 +173,6 @@ class SimulatorConfig:
                 raise ValueError(f"{name} must round to at least 1 ms")
 
 
-@dataclass(slots=True)
-class Traces:
-    rr: Series
-    hr: Series
-    context: list[ContextSample]
-
-
 def default_plan(rng: random.Random, total_minutes: float = 120.0) -> SessionPlan:
     """Alternating work/break blocks drawn from the ergonomic bounds.
 
@@ -225,10 +202,10 @@ def default_plan(rng: random.Random, total_minutes: float = 120.0) -> SessionPla
     return SessionPlan(tuple(blocks))
 
 
-def _episode_effect(minute: float, script: EpisodeScript,
+def _episode_effect(minute: float, script: tuple[Episode, ...],
                     sim: SimulatorConfig) -> tuple[float, float]:
     """(rr mean, rr jitter) at a session minute, with ramped episode shaping."""
-    for ep in script.episodes:
+    for ep in script:
         if ep.start_min <= minute < ep.end_min:
             ramp = min((minute - ep.start_min) / EPISODE_RAMP_MIN,
                        (ep.end_min - minute) / EPISODE_RAMP_MIN, 1.0)
@@ -244,19 +221,27 @@ def _episode_effect(minute: float, script: EpisodeScript,
 def generate_session(
     seed: int,
     plan: SessionPlan,
-    script: EpisodeScript,
+    script: tuple[Episode, ...],
     sim: SimulatorConfig = SimulatorConfig(),
-) -> Traces:
-    """Generate seeded RR/HR/context traces for one session.
+) -> tuple[Series, Series, list[ContextSample]]:
+    """Generate seeded (RR, HR, context) streams for one session.
 
-    Identical (seed, plan, script, sim) always yields identical traces.
+    Identical (seed, plan, script, sim) always yields identical streams.
+    Raises ScriptError when two episodes overlap or one outlasts the plan.
     """
-    script.validate(plan)
+    ordered = sorted(script, key=lambda e: e.start_min)
+    for prev, nxt in zip(ordered, ordered[1:]):
+        if nxt.start_min < prev.end_min:
+            raise ScriptError(f"episodes overlap at minute {nxt.start_min:g}")
+    for ep in ordered:
+        if ep.end_min > plan.total_minutes:
+            raise ScriptError(
+                f"episode ending at minute {ep.end_min:g} exceeds the "
+                f"{plan.total_minutes:g}-minute session")
     rng = random.Random(seed)
     total_ms = round(plan.total_minutes * 60000)
 
-    rr_ts: list[int] = []
-    rr_v: list[float] = []
+    rr_ts, rr_v = array("q"), array("d")
     t = 0.0
     while True:
         mean, jitter = _episode_effect(t / 60000.0, script, sim)
@@ -269,8 +254,8 @@ def generate_session(
         rr_v.append(round(beat, 3))
 
     hr_ts = range(0, total_ms + 1, round(sim.hr_cadence_s * 1000))
-    hr_v = [round(60000.0 / _episode_effect(ts / 60000.0, script, sim)[0]
-                  + rng.gauss(0.0, sim.hr_noise_bpm), 3) for ts in hr_ts]
+    hr_v = array("d", (round(60000.0 / _episode_effect(ts / 60000.0, script, sim)[0]
+                             + rng.gauss(0.0, sim.hr_noise_bpm), 3) for ts in hr_ts))
 
     context: list[ContextSample] = []
     ctx_ms = round(sim.context_cadence_s * 1000)
@@ -281,23 +266,26 @@ def generate_session(
             ts, working,
             ActivityState.SEDENTARY if working else ActivityState.ACTIVE))
 
-    return Traces(Series(rr_ts, rr_v), Series(hr_ts, hr_v), context)
+    # Series copies any column that is not a read-only view: hand it views.
+    rr = Series(memoryview(rr_ts).toreadonly(), memoryview(rr_v).toreadonly())
+    return rr, Series(hr_ts, memoryview(hr_v).toreadonly()), context
 
 
 def _round6(x: float) -> float:
     return round(x, 6)
 
 
-def replay(traces: Traces, config: "Config") -> Iterator[dict]:
-    """Calibrate on the traces, then return the stream of their records.
+def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
+           config: "Config") -> Iterator[dict]:
+    """Calibrate on the streams, then return the stream of their records.
 
     Filtering, the baseline (from the calibration span's rows alone) and
     one feature pass over the whole session run before this returns, so
     input errors raise here. The iterator runs the loop on each window
     after the span as it is consumed and yields its records in time order.
     """
-    rr = reject_artifacts(traces.rr)
-    hr = clean_hr(traces.hr)
+    rr = reject_artifacts(rr)
+    hr = clean_hr(hr)
     ing = config.ingest
     calib_ms = round(ing.calibration_minutes * 60000)
     # Every calibration window ends by calib_ms, so no later beat can
@@ -316,11 +304,11 @@ def replay(traces: Traces, config: "Config") -> Iterator[dict]:
         return Series(series.timestamps[:n], series.values[:n])
 
     calibration = [w for w in window_features(
-        head(rr), head(hr), traces.context, Baseline.provisional(),
+        head(rr), head(hr), context, Baseline.provisional(),
         ing.window_len_s, ing.stride_s) if w.window_end <= calib_ms]
     baseline = compute_baseline(calibration)
     windows = window_features(
-        rr, hr, traces.context, baseline, ing.window_len_s, ing.stride_s)
+        rr, hr, context, baseline, ing.window_len_s, ing.stride_s)
     return _evaluate((w for w in windows if w.window_end > calib_ms), config)
 
 
@@ -345,30 +333,6 @@ def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[di
     last_seen: dict[InteractionState, int] = {}
     held: dict | None = None
 
-    def issue(expr, cause: InteractionState, now: int,
-              still_holds: bool) -> Iterator[dict]:
-        nonlocal held
-        reason = suppression_reason(now, st, sched_cfg)
-        if reason is not None:
-            yield dict(t=now, kind="suppression", reason=reason,
-                       state=cause.value, profile=expr.profile.value)
-            return
-        scent = scents_by_key[select_scent(expr, history, rng)]
-        command = request(expr, scent, now, st, sched_cfg, cause=cause,
-                          still_holds=still_holds)
-        due = None if st.pending_repeat is None else st.pending_repeat.due
-        yield dict(t=now, kind="release", channel=command.channel,
-                   scent=command.scent, duty=command.duty,
-                   duration_s=command.duration_s, start=command.start,
-                   end=command.end, cause=cause.value, repeat_due=due)
-        for ts, key in command_sequence_for(command):
-            record = dict(t=ts, kind="ir_command", command=key,
-                          code=f"0x{table.code_for(key):08X}")
-            if ts > now:
-                held = record
-            else:
-                yield record
-
     for fw in windows:
         now = fw.window_end
         if held is not None and held["t"] <= now:
@@ -392,6 +356,8 @@ def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[di
         last_seen[state] = now
         yield dict(t=now, kind="interaction_state", state=state.value)
 
+        # the due repeat, then the state's own expression
+        requests = []
         repeat = tick(now, st)
         if repeat is not None:
             seen = last_seen.get(repeat.cause)
@@ -399,14 +365,35 @@ def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[di
             fire = cause_holds if repeat.conditional else (
                 state is not InteractionState.NEUTRAL)
             if fire:
-                yield from issue(repeat.expr, repeat.cause, now, cause_holds)
+                requests.append((repeat.expr, repeat.cause, cause_holds))
             else:
                 yield dict(t=now, kind="suppression", reason=SUPPRESSED_REPEAT_CANCELLED,
                            state=repeat.cause.value, profile=repeat.expr.profile.value)
-
         expr = expression_for(state)
         if expr is not None:
-            yield from issue(expr, state, now, True)
+            requests.append((expr, state, True))
+
+        for expr, cause, still_holds in requests:
+            reason = suppression_reason(now, st, sched_cfg)
+            if reason is not None:
+                yield dict(t=now, kind="suppression", reason=reason,
+                           state=cause.value, profile=expr.profile.value)
+                continue
+            scent = scents_by_key[select_scent(expr, history, rng)]
+            command = request(expr, scent, now, st, sched_cfg, cause=cause,
+                              still_holds=still_holds)
+            due = None if st.pending_repeat is None else st.pending_repeat.due
+            yield dict(t=now, kind="release", channel=command.channel,
+                       scent=command.scent, duty=command.duty,
+                       duration_s=command.duration_s, start=command.start,
+                       end=command.end, cause=cause.value, repeat_due=due)
+            for ts, key in command_sequence_for(command):
+                record = dict(t=ts, kind="ir_command", command=key,
+                              code=f"0x{table.code_for(key):08X}")
+                if ts > now:
+                    held = record
+                else:
+                    yield record
 
     if held is not None:
         yield held
@@ -472,10 +459,9 @@ def summarize(records: Iterable[dict], config: "Config") -> dict:
                 prev = record
             elif kind == "ir_command":
                 command = record["command"]
-                left = awaited.pop((t, command), 0)
-                if left > 1:
-                    awaited[t, command] = left - 1
-                elif not left:
+                if awaited[t, command] > 0:
+                    awaited[t, command] -= 1
+                else:
                     violations += 1  # stray: actuates outside any release
                 word = codes.get(command)
                 if word is None or record["code"] != f"0x{word:08X}":

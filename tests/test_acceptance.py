@@ -41,7 +41,6 @@ from scentctl.simulate import (
     BlockKind,
     Episode,
     EpisodeKind,
-    EpisodeScript,
     SessionBlock,
     SessionPlan,
     default_plan,
@@ -64,9 +63,8 @@ def _ok(name: str) -> None:
 
 def _scripted(seed, work_min, episodes):
     plan = SessionPlan((SessionBlock(BlockKind.WORK, work_min),))
-    script = EpisodeScript(tuple(Episode(*e) for e in episodes))
-    traces = generate_session(seed, plan, script, CFG.simulator)
-    log = list(replay(traces, CFG))
+    script = tuple(Episode(*e) for e in episodes)
+    log = list(replay(*generate_session(seed, plan, script, CFG.simulator), CFG))
     releases = [r for r in log if r["kind"] == "release"]
     return log, releases
 
@@ -415,13 +413,13 @@ def test_a11_replayed_logs_audit_clean():
     checked = 0
     for seed in range(8):
         plan = default_plan(random.Random(seed), total_minutes=120)
-        script = EpisodeScript((
+        script = (
             Episode(10.0, 20.0, EpisodeKind.STRESS, 0.9),
             Episode(50.0, 25.0, EpisodeKind.FATIGUE, 1.0),
             Episode(90.0, 10.0, EpisodeKind.STRESS, 0.5),
-        ))
-        traces = generate_session(seed, plan, script, CFG.simulator)
-        summary = summarize(replay(traces, CFG), CFG)
+        )
+        streams = generate_session(seed, plan, script, CFG.simulator)
+        summary = summarize(replay(*streams, CFG), CFG)
         assert summary["violations"] == 0
         checked += summary["releases"]
     _ok(f"replay-audit-clean ({checked} releases across 8 sessions)")

@@ -559,13 +559,16 @@ def test_cli_synth_plan_shorter_than_calibration_exit_3(tmp_path, capsys):
 
 
 def test_cli_replay_trace_starting_inside_calibration_exit_2(tmp_path, capsys):
-    # beats from 240 s: only the window ending at 300 s calibrates
-    rr = _write(tmp_path, "rr.csv", "".join(
-        f"{240_000 + i * 800},800\n" for i in range(1, 1201)))
-    assert main(["replay", "--rr", rr, "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert ("needs at least 3 windows with two or more kept RR beats, got 1: "
-            "the calibration span has gaps or the trace ends inside it") in err
+    # beats from 240 s: only the window ending at 300 s calibrates; one
+    # beat at 0 s, then beats from 600 s: the first kept beat is early
+    # enough, but no calibration window holds two beats
+    for head, start, got in (("", 240_000, 1), ("0,800\n", 600_000, 0)):
+        rr = _write(tmp_path, "rr.csv", head + "".join(
+            f"{start + i * 800},800\n" for i in range(1, 1201)))
+        assert main(["replay", "--rr", rr, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert (f"needs at least 3 windows with two or more kept RR beats, got {got}: "
+                "the calibration span has gaps or the trace ends inside it") in err
 
 
 def test_cli_replay_flat_calibration_exit_2(tmp_path, capsys):
@@ -706,6 +709,37 @@ def test_cli_replay_malformed_csv_exit_2(tmp_path, capsys):
     code = main(["replay", "--rr", rr, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    # a mistyped first row after the header is not a second header
+    ("timestamp_ms,rr_ms\nO,800\n1000,810\n", "line 2: bad timestamp 'O'"),
+    ("timestamp_ms,rr_ms\n\nts,rr\n0,800\n", "line 3: bad timestamp 'ts'"),
+])
+def test_cli_replay_only_first_line_may_be_header_exit_2(tmp_path, capsys,
+                                                         text, message):
+    rr = _write(tmp_path, "rr.csv", text)
+    out = tmp_path / "x"
+    assert main(["replay", "--rr", rr, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("start_min,duration_min,kind,magnitude\nforty,25,stress,0.9\n8,6,stress,1\n",
+     "script line 2: could not convert string to float: 'forty'"),
+    ("# plan\n\nstart_min,duration_min,kind,magnitude\nstart,dur,kind,mag\n",
+     "script line 4: could not convert string to float: 'start'"),
+    ("start_min,duration_min,kind,magnitude\n# episodes\nkind,8,6,stress,1\n",
+     "script line 3: expected 4 fields"),
+])
+def test_cli_synth_only_first_script_line_may_be_header_exit_3(tmp_path, capsys,
+                                                              text, message):
+    script = _write(tmp_path, "script.csv", text)
+    code = main(["synth", "--seed", "1", "--blocks", "work:25",
+                 "--script", script, "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 def test_cli_replay_missing_file_exit_2(tmp_path, capsys):

@@ -341,6 +341,14 @@ def _classifier_runs(draw):
           [(_av(0.9, -0.9, 60_000), ContextFlags()),
            (_av(0.0, 0.0, 120_000), ContextFlags()),
            (_av(0.9, -0.9, 420_000), ContextFlags())]))
+# Times in the zone and since its exit that are not whole seconds: 0.5 s
+# reaches a 0.5 s persistence threshold, 0.7 s is past a 0.5 s recovery.
+@example((EstimatorConfig(persistence_threshold_s=0.5),
+          [(_av(0.9, -0.9, t), ContextFlags()) for t in (60_000, 60_500)]))
+@example((EstimatorConfig(recovery_window_s=0.5),
+          [(_av(0.9, -0.9, 60_000), ContextFlags()),
+           (_av(0.0, 0.0, 61_000), ContextFlags()),
+           (_av(0.0, 0.0, 61_700), ContextFlags())]))
 @given(_classifier_runs())
 def test_classify_matches_zone_tracking_reference(run):
     cfg, points = run

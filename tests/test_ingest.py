@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import gc
+import io
 import math
 import random
 import struct
@@ -35,13 +36,12 @@ from scentctl.ingest import (
     parse_context_stream,
     parse_hr_stream,
     parse_rr_stream,
-    parse_samples,
     reject_artifacts,
-    render_context_csv,
-    render_hr_csv,
-    render_rr_csv,
     window_features,
+    write_context_csv,
+    write_series_csv,
 )
+from scentctl.ingest import _parse_samples
 
 
 def brute_rmssd(rr: list[float]) -> float:
@@ -151,6 +151,29 @@ def test_parse_empty_stream_rejected():
 
 def test_parse_optional_header_detected():
     assert parse_rr_stream("timestamp_ms,rr_ms\n0,800") == Series((0,), (800.0,))
+    assert parse_rr_stream("\n \r\ntimestamp_ms,rr_ms\n0,800") == Series((0,), (800.0,))
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_rr_stream, "timestamp_ms,rr_ms\nO,800\n1000,810",
+     "line 2: bad timestamp 'O'"),
+    (parse_rr_stream, "ts,rr\n\n\tt,rr\n0,800", "line 3: bad timestamp 't'"),
+    (parse_hr_stream, "a\ntimestamp_ms\n0,72", "line 2: expected 2 fields, got 1"),
+    (parse_context_stream, "timestamp_ms,session_active,activity_state\n"
+     "t,1,sedentary\n0,1,sedentary", "line 2: bad timestamp 't'"),
+])
+def test_parse_only_first_nonblank_line_may_be_header(parse, text, message):
+    with pytest.raises(StreamFormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_grows_columns_at_other_line_breaks():
+    # The columns are sized from the "\n" and "\r" counts; the other line
+    # breaks str.splitlines() knows make them grow.
+    for end in ("\x85", "\u2028", "\v"):
+        text = end.join(f"{i * 800},800" for i in range(1000))
+        assert parse_rr_stream(text) == Series(range(0, 800_000, 800), [800.0] * 1000)
 
 
 def test_parse_hr_and_context_schemas():
@@ -168,19 +191,27 @@ def test_parse_context_bad_activity():
         parse_context_stream("0,1,walking")
 
 
-def test_parse_unknown_schema():
-    with pytest.raises(ValueError, match="schema"):
-        parse_samples("0,800", "bogus")
+def _written(write, *args) -> str:
+    out = io.StringIO()
+    write(out, *args)
+    return out.getvalue()
 
 
-def test_render_round_trip():
+def test_csv_writers_round_trip():
     samples = Series((0, 805), (800.0, 805.25))
-    assert parse_rr_stream(render_rr_csv(samples)) == samples
+    text = _written(write_series_csv, samples, "rr_ms")
+    assert text == "timestamp_ms,rr_ms\n0,800.000\n805,805.250\n"
+    assert parse_rr_stream(text) == samples
     hr = Series((0, 1000), (72.5, 71.125))
-    assert render_hr_csv(hr) == "timestamp_ms,hr_bpm\n0,72.500\n1000,71.125\n"
-    assert parse_hr_stream(render_hr_csv(hr)) == hr
-    ctx = [ContextSample(0, True, ActivityState.SEDENTARY)]
-    assert parse_context_stream(render_context_csv(ctx)) == ctx
+    text = _written(write_series_csv, hr, "hr_bpm")
+    assert text == "timestamp_ms,hr_bpm\n0,72.500\n1000,71.125\n"
+    assert parse_hr_stream(text) == hr
+    ctx = [ContextSample(0, True, ActivityState.SEDENTARY),
+           ContextSample(60000, False, ActivityState.ACTIVE)]
+    text = _written(write_context_csv, ctx)
+    assert text == ("timestamp_ms,session_active,activity_state\n"
+                    "0,1,sedentary\n60000,0,active\n")
+    assert parse_context_stream(text) == ctx
 
 
 def test_parse_timestamp_bounded_by_64_bits():
@@ -213,21 +244,23 @@ def test_parse_and_filter_peak_memory_per_row():
 
 
 def test_parse_peak_memory_per_row_with_cr_line_breaks():
-    # "\r" alone ends each line: batches and columns are cut and sized at
-    # it as at "\n", so no batch holds the whole stream.
+    # "\r" alone or "\r\n" ends each line: batches and columns are cut
+    # and sized at it as at "\n", so no batch holds the whole stream and
+    # "\r\n" counts as one row.
     rows = 200_000
-    text = "timestamp_ms,rr_ms\r" + "".join(
-        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\r"
-        for i in range(rows))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rr = reject_artifacts(parse_rr_stream(text))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(rr) == rows - rows // 50
-    assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
+    for end in ("\r", "\r\n"):
+        text = f"timestamp_ms,rr_ms{end}" + "".join(
+            f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25{end}"
+            for i in range(rows))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rr = reject_artifacts(parse_rr_stream(text))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rr) == rows - rows // 50
+        assert peak / rows <= 48, f"{end!r}: {peak / rows:.1f} bytes per row"
 
 
 def test_parse_and_filter_build_no_per_sample_objects():
@@ -513,10 +546,20 @@ def test_window_skips_sparse_and_derives_hr_from_rr():
     assert all(w.mean_hr == pytest.approx(75.0) for w in windows)
 
 
+def test_window_stride_floor_enforced():
+    for stride_s in (0.0004, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^stride_s must round to at least 1 ms$"):
+            window_features(Series((), ()), Series((), ()), [],
+                            Baseline.provisional(), 120, stride_s)
+
+
 def test_window_len_floor_enforced():
-    with pytest.raises(ValueError):
-        window_features(Series((), ()), Series((), ()), [],
-                        Baseline.provisional(), 30, 30)
+    for window_len_s in (30, 59.999):
+        with pytest.raises(ValueError, match="^window_len_s must be at least 60 s$"):
+            window_features(Series((), ()), Series((), ()), [],
+                            Baseline.provisional(), window_len_s, 30)
+    assert window_features(Series((), ()), Series((), ()), [],
+                           Baseline.provisional(), 60, 30) == []
 
 
 def test_window_features_all_finite_random():
@@ -540,7 +583,9 @@ def test_window_features_all_finite_random():
 # `parse_samples` and the per-call `context_at` that the cheap parse path
 # and the one-pass context lookup replaced; the parse reference yields
 # (timestamp, value) pairs where it built one RR/HR object per row, and is
-# compared with the zipped columns of a `Series`. The new code must agree
+# compared with the zipped columns of a `Series`. One rule differs from the
+# copy: only the first non-blank line may be a header (the copy skipped
+# every non-numeric row before the first data row). The new code must agree
 # with them on every input (differential testing: McKeeman 1998, Digital
 # Technical Journal 10(1)).
 
@@ -572,14 +617,16 @@ def reference_parse_samples(stream: str, schema: str = "rr") -> list:
 
     samples: list = []
     prev_ts: int | None = None
-    seen_data = False
+    first = True
     for line_no, raw in enumerate(stream.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if not seen_data and not _ref_looks_numeric(fields[0]):
-            continue  # optional header
+        if first:
+            first = False
+            if not _ref_looks_numeric(fields[0]):
+                continue  # optional header: the first non-blank line only
         if len(fields) != n_fields:
             raise StreamFormatError(
                 f"expected {n_fields} fields, got {len(fields)}", line_no)
@@ -617,7 +664,6 @@ def reference_parse_samples(stream: str, schema: str = "rr") -> list:
         else:
             samples.append(sample)
         prev_ts = ts
-        seen_data = True
 
     if not samples:
         raise StreamFormatError("empty stream")
@@ -711,7 +757,7 @@ def _parse_outcome(parse, schema, text):
 @given(_streams())
 def test_parse_matches_line_by_line_reference(case):
     schema, text = case
-    assert (_parse_outcome(parse_samples, schema, text)
+    assert (_parse_outcome(_parse_samples, schema, text)
             == _parse_outcome(reference_parse_samples, schema, text))
 
 
@@ -721,7 +767,7 @@ def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
     schema, text = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
-        assert (_parse_outcome(parse_samples, schema, text)
+        assert (_parse_outcome(_parse_samples, schema, text)
                 == _parse_outcome(reference_parse_samples, schema, text))
 
 
@@ -766,7 +812,7 @@ def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
         patch.setattr(ingest, "_CHUNK_CHARS", 20)
         patch.setattr(ingest, "pack_into", pack_into)
         assert list(ingest._batches(text)) == batches
-        assert (_parse_outcome(parse_samples, "rr", text)
+        assert (_parse_outcome(_parse_samples, "rr", text)
                 == _parse_outcome(reference_parse_samples, "rr", text))
     assert written == batch_path
 
@@ -997,6 +1043,10 @@ def _sparse_traces(draw):
          60.0, 60.0)
 @example((_rr([800.0] * 2, start=5), _rr([70.0], start=10**7)), 60.0, 0.5)
 @example((_rr([800.0] * 80), _rr([70.0] * 60, step=1000)), 60.0, 0.001)  # 1 ms
+# After the lone beat at 100 s the sweep jumps to the first stride that
+# reaches the beat at 130 s: 10.001 s, whose window ends 1 ms after it.
+@example((Series((100_000, 130_000, 200_000), (800.0, 810.0, 805.0)),
+          Series((), ())), 120.0, 10.001)
 @given(_sparse_traces(),
        st.floats(60, 600),
        st.one_of(st.sampled_from([0.5, 1, 30, 60, 61.3]), st.floats(0.5, 900)))

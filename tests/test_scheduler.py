@@ -169,6 +169,10 @@ def test_tick_time_regression_rejected():
     tick(100_000, st)
     with pytest.raises(TimeRegressionError):
         tick(50_000, st)
+    # the clock starts at 0, so no first tick may come before it
+    assert tick(0, SchedulerState()) is None
+    with pytest.raises(TimeRegressionError, match="^tick at -1 ms after clock reached 0 ms$"):
+        tick(-1, SchedulerState())
 
 
 # -- determinism and config -------------------------------------------------
@@ -215,6 +219,14 @@ def test_default_config_maps_read_only():
         cfg.duty_low = 0.9
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.burst_single_brief_s = 1.0
+
+
+def test_repeat_check_horizon_bounds():
+    assert SchedulerConfig(repeat_check_horizon_s=0.0).repeat_check_horizon_s == 0.0
+    for bad in (-0.001, -1.0):
+        with pytest.raises(ValueError,
+                           match="^repeat_check_horizon_s must be non-negative$"):
+            SchedulerConfig(repeat_check_horizon_s=bad)
 
 
 def test_max_burst_bounds():

@@ -58,11 +58,9 @@ from scentctl.simulate import (
     EpisodeKind,
     RECORD_KINDS,
     SUPPRESSED_REPEAT_CANCELLED,
-    EpisodeScript,
     ScriptError,
     SessionBlock,
     SessionPlan,
-    Traces,
     default_plan,
     generate_session,
     _round6,
@@ -75,9 +73,9 @@ CFG = Config()
 
 def _session(seed, work_min, episodes, config=CFG):
     plan = SessionPlan((SessionBlock(BlockKind.WORK, work_min),))
-    script = EpisodeScript(tuple(Episode(*e) for e in episodes))
-    traces = generate_session(seed, plan, script, config.simulator)
-    return traces, list(replay(traces, config))
+    script = tuple(Episode(*e) for e in episodes)
+    streams = generate_session(seed, plan, script, config.simulator)
+    return streams, list(replay(*streams, config))
 
 
 def _releases(log):
@@ -144,20 +142,21 @@ def test_plan_block_lookup():
 
 def test_script_rejects_overlap():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 60.0),))
-    script = EpisodeScript((
+    script = (
         Episode(5.0, 10.0, EpisodeKind.STRESS, 1.0),
         Episode(12.0, 5.0, EpisodeKind.FATIGUE, 0.5),
-    ))
+    )
+    with pytest.raises(ScriptError, match="^episodes overlap at minute 12$"):
+        generate_session(0, plan, script, CFG.simulator)
     with pytest.raises(ScriptError, match="overlap"):
-        script.validate(plan)
+        generate_session(0, plan, script[::-1], CFG.simulator)
 
 
 def test_script_rejects_out_of_bounds():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),))
-    script = EpisodeScript((Episode(25.0, 10.0, EpisodeKind.STRESS, 1.0),))
-    with pytest.raises(ScriptError, match="exceeds"):
-        script.validate(plan)
-    with pytest.raises(ScriptError):
+    script = (Episode(25.0, 10.0, EpisodeKind.STRESS, 1.0),)
+    with pytest.raises(ScriptError, match="^episode ending at minute 35 exceeds "
+                                          "the 30-minute session$"):
         generate_session(0, plan, script, CFG.simulator)
 
 
@@ -176,17 +175,17 @@ def test_episode_field_validation():
 
 def test_generation_deterministic():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),))
-    script = EpisodeScript((Episode(5.0, 10.0, EpisodeKind.STRESS, 0.7),))
+    script = (Episode(5.0, 10.0, EpisodeKind.STRESS, 0.7),)
     a = generate_session(11, plan, script, CFG.simulator)
     b = generate_session(11, plan, script, CFG.simulator)
-    assert a.rr == b.rr and a.hr == b.hr and a.context == b.context
+    assert a == b
     c = generate_session(12, plan, script, CFG.simulator)
-    assert a.rr != c.rr
+    assert a[0] != c[0]
 
 
 def test_generation_timestamps_strictly_increase():
-    traces, _ = _session(5, 20.0, [])
-    ts = traces.rr.timestamps
+    (rr, _, _), _ = _session(5, 20.0, [])
+    ts = rr.timestamps
     assert len(ts) > 1000
     for prev, nxt in zip(ts, ts[1:]):
         assert nxt > prev
@@ -195,14 +194,14 @@ def test_generation_timestamps_strictly_increase():
 def test_context_follows_plan():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),
                         SessionBlock(BlockKind.BREAK, 8.0)))
-    traces = generate_session(2, plan, EpisodeScript(), CFG.simulator)
-    by_ts = {c.timestamp: c for c in traces.context}
+    _, _, context = generate_session(2, plan, (), CFG.simulator)
+    by_ts = {c.timestamp: c for c in context}
     assert by_ts[10 * 60000].session_active
     assert not by_ts[33 * 60000].session_active
 
 
 def test_null_stimulus_session_stays_quiet():
-    traces, log = _session(0, 35.0, [])
+    _, log = _session(0, 35.0, [])
     assert _releases(log) == []
     calib_ms = round(CFG.ingest.calibration_minutes * 60000)
     assert all(r["t"] > calib_ms for r in log)
@@ -322,30 +321,28 @@ def test_replay_seed_changes_scent_choice_only_deterministically():
 def test_replay_short_trace_insufficient_calibration():
     from scentctl.ingest import InsufficientDataError
 
-    traces, _ = _session(0, 20.0, [])
+    (rr, hr, context), _ = _session(0, 20.0, [])
 
     def head(series):
         n = bisect.bisect_left(series.timestamps, 200000)
         return Series(series.timestamps[:n], series.values[:n])
 
-    truncated = dataclasses.replace(traces, rr=head(traces.rr), hr=head(traces.hr))
-    assert 0 < len(truncated.rr) < len(traces.rr)
+    assert 0 < len(head(rr)) < len(rr)
     with pytest.raises(InsufficientDataError):
-        replay(truncated, CFG)
+        replay(head(rr), head(hr), context, CFG)
 
 
 def test_replay_without_kept_beats_fails_before_windowing():
     from scentctl.ingest import InsufficientDataError
 
-    traces, _ = _session(0, 20.0, [])
-    out_of_range = Series(traces.rr.timestamps, (2500.0,) * len(traces.rr))
+    (rr, hr, context), _ = _session(0, 20.0, [])
+    out_of_range = Series(rr.timestamps, (2500.0,) * len(rr))
     with pytest.raises(InsufficientDataError, match="no RR beat is kept"):
-        replay(dataclasses.replace(traces, rr=out_of_range), CFG)
+        replay(out_of_range, hr, context, CFG)
 
 
 _CLEAN_20_MIN = generate_session(
-    4, SessionPlan((SessionBlock(BlockKind.WORK, 20.0),)), EpisodeScript(()),
-    CFG.simulator)
+    4, SessionPlan((SessionBlock(BlockKind.WORK, 20.0),)), (), CFG.simulator)
 
 
 @st.composite
@@ -369,7 +366,7 @@ def test_every_accepted_ingest_config_replays(geometry):
         ingest = IngestConfig(window, stride, minutes)
     except ValueError:
         return  # refused configs are checked by validate's tests
-    list(replay(_CLEAN_20_MIN, dataclasses.replace(CFG, ingest=ingest)))
+    list(replay(*_CLEAN_20_MIN, dataclasses.replace(CFG, ingest=ingest)))
 
 
 # -- summary -----------------------------------------------------------------
@@ -411,6 +408,10 @@ def test_summarize_detects_overlap_and_cooldown_violations():
     records = sorted(_release(0, 1) + _release(4000, 2), key=lambda r: r["t"])
     summary = summarize(records, CFG)
     assert summary["violations"] == 2  # overlap plus cooldown breach
+    # a negative gap counts in the first bucket, as gaps under 300 s do
+    assert summary["interval_histogram"] == {"0-299s": 1}
+    short = sorted(_release(0, 1) + _release(60_000, 2), key=lambda r: r["t"])
+    assert summarize(short, CFG)["interval_histogram"] == {"0-299s": 1}
 
 
 # The hard constraints at their boundaries: a burst of exactly
@@ -522,13 +523,15 @@ def test_summarize_counts_stray_ir_commands():
 
 def test_summarize_of_written_log_equals_summarize_of_replay(tmp_path, monkeypatch):
     from scentctl.cli import CONFIG_ENV_VAR, main
-    from scentctl.ingest import render_context_csv, render_hr_csv, render_rr_csv
+    from scentctl.ingest import write_context_csv, write_series_csv
 
-    traces, log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
-    for name, text in (("rr", render_rr_csv(traces.rr)),
-                       ("hr", render_hr_csv(traces.hr)),
-                       ("context", render_context_csv(traces.context))):
-        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    (rr, hr, context), log = _session(1, 45.0, [(10.0, 25.0, EpisodeKind.STRESS, 1.0)])
+    with open(tmp_path / "rr.csv", "w", encoding="utf-8") as out:
+        write_series_csv(out, rr, "rr_ms")
+    with open(tmp_path / "hr.csv", "w", encoding="utf-8") as out:
+        write_series_csv(out, hr, "hr_bpm")
+    with open(tmp_path / "context.csv", "w", encoding="utf-8") as out:
+        write_context_csv(out, context)
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     assert main(["replay", "--rr", str(tmp_path / "rr.csv"),
                  "--hr", str(tmp_path / "hr.csv"),
@@ -551,15 +554,15 @@ def test_summarize_of_written_log_equals_summarize_of_replay(tmp_path, monkeypat
 # the end, renamed with a `_ref` prefix. The stream must yield the same
 # records in the same order, so the same summary, on every input.
 
-def _ref_replay(traces: Traces, config: "Config") -> list[dict]:
+def _ref_replay(rr: Series, hr: Series, context: list, config: "Config") -> list[dict]:
     """Drive traces through the full pipeline and log every stage.
 
     The first calibration span of windows establishes the individual
     baseline; evaluation (and any actuation) starts after it. Ingestion
     errors propagate.
     """
-    rr = reject_artifacts(traces.rr)
-    hr = clean_hr(traces.hr)
+    rr = reject_artifacts(rr)
+    hr = clean_hr(hr)
     ing = config.ingest
     calib_ms = round(ing.calibration_minutes * 60000)
     # Every calibration window ends by calib_ms, so no later beat can
@@ -572,12 +575,12 @@ def _ref_replay(traces: Traces, config: "Config") -> list[dict]:
             f"{calib_ms} ms; timestamps are milliseconds since session start")
 
     provisional = window_features(
-        rr, hr, traces.context, Baseline.provisional(),
+        rr, hr, context, Baseline.provisional(),
         ing.window_len_s, ing.stride_s)
     calibration = [w for w in provisional if w.window_end <= calib_ms]
     baseline = compute_baseline(calibration)
     windows = window_features(
-        rr, hr, traces.context, baseline, ing.window_len_s, ing.stride_s)
+        rr, hr, context, baseline, ing.window_len_s, ing.stride_s)
 
     est = config.estimator
     sched_cfg = config.scheduler
@@ -678,7 +681,7 @@ def _loop_case(seed, episodes, stride_s, **scheduler):
         CFG, scheduler=SchedulerConfig(**scheduler),
         ingest=IngestConfig(stride_s=stride_s), seed=seed)
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 55.0),))
-    script = EpisodeScript(tuple(Episode(*e) for e in episodes))
+    script = tuple(Episode(*e) for e in episodes)
     return generate_session(seed, plan, script, config.simulator), config
 
 
@@ -712,13 +715,14 @@ def _loop_cases(draw):
 _SUSTAINED = [(8.0, 47.0, EpisodeKind.STRESS, 1.0)]
 
 
-def _drop(traces, start, end):
-    """``traces`` without the RR and HR rows stamped in [start, end)."""
+def _drop(streams, start, end):
+    """``streams`` without the RR and HR rows stamped in [start, end)."""
     def keep(series):
         rows = [(t, v) for t, v in zip(series.timestamps, series.values)
                 if not start <= t < end]
         return Series([t for t, _ in rows], [v for _, v in rows])
-    return dataclasses.replace(traces, rr=keep(traces.rr), hr=keep(traces.hr))
+    rr, hr, context = streams
+    return keep(rr), keep(hr), context
 
 
 def _rr_only(seed, minutes=20.0):
@@ -732,7 +736,7 @@ def _rr_only(seed, minutes=20.0):
         ts.append(round(t))
         values.append(beat)
     assert round(CFG.ingest.calibration_minutes * 60000) not in ts
-    return Traces(Series(ts, values), Series((), ()), [])
+    return Series(ts, values), Series((), ()), []
 
 
 @settings(max_examples=25, deadline=None)
@@ -747,27 +751,32 @@ def _rr_only(seed, minutes=20.0):
 # exist. RR alone, then a dropout across that end:
 @example((_rr_only(3), CFG))
 @example((_drop(_loop_case(1, _SUSTAINED, 60.0)[0], 250_000, 400_000), CFG))
+# A conditional repeat comes due 50 s after its cause was last seen, 1 ms
+# past the repeat horizon.
+@example(_loop_case(1, [(8.0, 6.0, EpisodeKind.STRESS, 1.0),
+                        (31.0, 10.0, EpisodeKind.FATIGUE, 1.0)], 10.0,
+                    min_interval_s=60.0, repeat_check_horizon_s=49.999))
 @given(_loop_cases())
 def test_replay_stream_matches_sorted_reference(case):
-    traces, config = case
+    streams, config = case
     with _time_bound(30):
-        stream = list(replay(traces, config))
-        expected = _ref_replay(traces, config)
+        stream = list(replay(*streams, config))
+        expected = _ref_replay(*streams, config)
     assert stream == expected
     assert summarize(stream, config) == summarize(expected, config)
 
 
 def test_replay_makes_one_session_pass(monkeypatch):
-    traces, config = _loop_case(1, _SUSTAINED, 60.0)
-    windows = window_features(reject_artifacts(traces.rr), clean_hr(traces.hr),
-                              traces.context, Baseline.provisional())
+    (rr, hr, context), config = _loop_case(1, _SUSTAINED, 60.0)
+    windows = window_features(reject_artifacts(rr), clean_hr(hr), context,
+                              Baseline.provisional())
     calib_ms = round(config.ingest.calibration_minutes * 60000)
     calibration = sum(w.window_end <= calib_ms for w in windows)
     calls = []
     kernel = ingest.compute_rmssd
     monkeypatch.setattr(ingest, "compute_rmssd",
                         lambda rr: calls.append(None) or kernel(rr))
-    list(replay(traces, config))
+    list(replay(rr, hr, context, config))
     assert (len(windows), calibration) == (54, 4)
     assert len(calls) <= len(windows) + calibration
 
@@ -780,27 +789,40 @@ def test_replay_makes_one_session_pass(monkeypatch):
 # shutdown that the cut run still holds when its input ends; it emits it
 # last, and the full run emits it later, once a window reaches its time.
 
-def _cut(traces, t):
-    """The rows of ``traces`` stamped at or before ``t``."""
+def _cut(streams, t):
+    """The rows of ``streams`` stamped at or before ``t``."""
     def head(series):
         n = bisect.bisect_right(series.timestamps, t)
         return Series(series.timestamps[:n], series.values[:n])
-    return dataclasses.replace(
-        traces, rr=head(traces.rr), hr=head(traces.hr),
-        context=[row for row in traces.context if row.timestamp <= t])
+    rr, hr, context = streams
+    return head(rr), head(hr), [row for row in context if row.timestamp <= t]
 
 
 @st.composite
 def _cut_cases(draw):
-    """A `_loop_cases` session, sometimes with an RR and HR dropout of up
-    to 10 minutes after calibration, and a cut time anywhere in it."""
-    traces, config = draw(_loop_cases())
-    end = traces.rr.timestamps[-1]
+    """A `_loop_cases` session and a cut time anywhere in it. Sometimes
+    the session starts late: its first RR/HR row after 0 but inside
+    calibration, and its context stream later still. Sometimes it has an
+    RR and HR dropout of up to 10 minutes after calibration."""
+    streams, config = draw(_loop_cases())
+    end = streams[0].timestamps[-1]
+    calib_ms = round(config.ingest.calibration_minutes * 60000)
     if draw(st.booleans()):
-        start = draw(st.integers(round(config.ingest.calibration_minutes * 60000),
-                                 end))
-        traces = _drop(traces, start, start + draw(st.integers(0, 600_000)))
-    return traces, config, draw(st.integers(0, end))
+        first = draw(st.integers(1, calib_ms - 1))
+        context_first = draw(st.integers(first + 1, end))
+        rr, hr, context = _drop(streams, 0, first)
+        streams = rr, hr, [row for row in context if row.timestamp >= context_first]
+    if draw(st.booleans()):
+        start = draw(st.integers(calib_ms, end))
+        streams = _drop(streams, start, start + draw(st.integers(0, 600_000)))
+    return streams, config, draw(st.integers(0, end))
+
+
+def _at_first_shutdown(case):
+    """``case`` with the cut at the shutdown of its first release."""
+    streams, config = case
+    records = replay(*streams, config)
+    return streams, config, next(r["end"] for r in records if r["kind"] == "release")
 
 
 # Bursts of 30 s at a 10 s stride: the cut at 625 s ends inside the
@@ -812,19 +834,34 @@ def _cut_cases(draw):
 # run then ends before its first evaluated window.
 @example((*_loop_case(1, _SUSTAINED, 60.0), 239_999))
 @example((*_loop_case(1, _SUSTAINED, 60.0), 299_999))
+# The shutdown timings of `test_replay_stream_matches_sorted_reference`,
+# cut at the first shutdown: on a window end, after the last window, and
+# at its release's own start.
+@example(_at_first_shutdown(_loop_case(1, _SUSTAINED, 30.0, min_interval_s=1.0,
+                                       **_bursts(30.0))))
+@example(_at_first_shutdown(_loop_case(1, _SUSTAINED, 60.0, min_interval_s=1.0,
+                                       **_bursts(30.0))))
+@example(_at_first_shutdown(_loop_case(1, _SUSTAINED, 1.0, min_interval_s=1.0,
+                                       **_bursts(0.0004))))
 @given(_cut_cases())
 def test_replay_is_causal(case):
-    traces, config, t = case
+    streams, config, t = case
     ing = config.ingest
     third_window_end = round(ing.window_len_s * 1000) + 2 * round(ing.stride_s * 1000)
+    calib_ms = round(ing.calibration_minutes * 60000)
     with _time_bound(30):
-        full = list(replay(traces, config))
         try:
-            cut = list(replay(_cut(traces, t), config))
+            full = list(replay(*streams, config))
         except InsufficientDataError:
-            # only a cut inside calibration may fail to calibrate
-            assert t < round(ing.calibration_minutes * 60000)
+            full = None  # then no cut of it can calibrate either
+        try:
+            cut = list(replay(*_cut(streams, t), config))
+        except InsufficientDataError:
+            # only a cut that ends inside calibration may fail to calibrate
+            rr, hr, _ = _cut(streams, t)
+            assert max((s.timestamps[-1] for s in (rr, hr) if s), default=-1) < calib_ms
             return
+    assert full is not None
     assert t >= third_window_end  # fewer than 3 windows cannot calibrate
     if cut != full[:len(cut)]:
         held = cut.pop()

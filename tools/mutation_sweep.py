@@ -1,25 +1,33 @@
-"""Comparison-operator mutation sweep over the safety core and ingest.
+"""Operator and constant mutation sweep over the safety core and ingest.
 
-Swaps one comparison at a time: an operator (``<``/``<=``, ``>``/``>=``,
-``==``/``!=``, ``is``/``is not``), or a comparison passed as a function
-(``operator.lt``/``le``, ``gt``/``ge``, as in ``map(lt, xs, ys)``), in:
+Makes one change at a time:
+
+- swaps a comparison: an operator (``<``/``<=``, ``>``/``>=``,
+  ``==``/``!=``, ``is``/``is not``), or a comparison passed as a function
+  (``operator.lt``/``le``, ``gt``/``ge``, as in ``map(lt, xs, ys)``);
+- swaps an arithmetic operator, augmented assignments included
+  (``+``/``-``, ``*``/``/``, ``//``/``/``);
+- moves an integer constant by -1 or +1;
+
+in:
 
 - every function of ``scentctl/scheduler.py`` (``SchedulerConfig``'s
   validation included);
 - ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
-- ``ingest.parse_samples``, ``reject_artifacts``, ``clean_hr``,
+- ``ingest._parse_samples``, ``reject_artifacts``, ``clean_hr``,
   ``compute_baseline`` and ``window_features``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
 test files for the loop modules, ``test_ingest`` for ``ingest``); a
 mutant they do not kill runs against the whole suite. A mutant that no test kills is a
-survivor. The script prints every mutant's outcome, then the survivors,
+survivor. Mutants run in parallel, one scratch copy per CPU. The script
+prints every mutant's outcome in source order, then the survivors,
 each marked with its reason when it is a known equivalent, and exits
 non-zero when a survivor is not a known equivalent.
 
-Run from the repository root (about 45 minutes on 2 vCPUs):
+Run from the repository root (about two hours on 2 vCPUs):
 
     python tools/mutation_sweep.py
 
@@ -31,11 +39,13 @@ from __future__ import annotations
 
 import ast
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +61,7 @@ TARGETS = {
     "src/scentctl/simulate.py": (("replay", "_evaluate", "summarize"),
                                  LOOP_TESTS),
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
-    "src/scentctl/ingest.py": (("parse_samples", "reject_artifacts",
+    "src/scentctl/ingest.py": (("_parse_samples", "reject_artifacts",
                                 "clean_hr", "compute_baseline",
                                 "window_features"),
                                ("tests/test_ingest.py",)),
@@ -59,6 +69,14 @@ TARGETS = {
 # A test run that takes longer counts as a kill: a mutant can make a loop
 # spin forever. The whole suite takes about 2 minutes on 2 vCPUs.
 RUN_TIMEOUT_S = 300
+# Each test run gets this much address space: a mutant can also make a
+# buffer grow forever, and it must fail there, not exhaust the host.
+RUN_MEMORY_BYTES = 2 << 30
+# Sets the limit, then becomes pytest: a subprocess preexec_fn is unsafe
+# with the sweep's threads.
+_LIMITED_PYTEST = ("import os, resource, sys; "
+                   "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2); "
+                   "os.execv(sys.executable, [sys.executable, '-m', 'pytest', *sys.argv[2:]])")
 DESELECT = (
     # red by design: it would kill every mutant
     "tests/test_acceptance.py::test_a06_smoothing_step_bound_and_convergence",
@@ -71,24 +89,55 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.IsNot: ast.Is}
 # comparisons passed as functions (``from operator import lt``)
 NAME_SWAPS = {"lt": "le", "le": "lt", "gt": "ge", "ge": "gt"}
+# arithmetic operators, of expressions and of augmented assignments
+ARITH_SWAPS = {ast.Add: (ast.Sub,), ast.Sub: (ast.Add,), ast.Mult: (ast.Div,),
+               ast.Div: (ast.Mult, ast.FloorDiv), ast.FloorDiv: (ast.Div,)}
 
-# (function, mutated comparison) -> why no test can tell it apart
+_FILL = ("the columns' fill value: each row kept is written over it, and "
+         "the rows never written are cut off at the end")
+_GROWTH = ("the columns grow threefold where twofold suffices, and the rows "
+           "never written are cut off at the end")
+_STAND_IN = ("the stand-in context row's timestamp is never read: the first "
+             "row's run starts at 0, and only later rows' timestamps are compared")
+# (function, mutated code as shown) -> why no test can tell it apart
 EQUIVALENT = {
-    ("summarize", "left >= 1"):
-        "a command awaited once leaves a zero Counter entry, which counts "
-        "as absent: a later pop of it still scores a stray",
-    ("parse_samples", "n + len(batch) >= len(timestamps)"):
+    ("summarize", "gap_ms / 1000.0 / 300"):
+        "int() truncates where // floors, which differ only below zero, and "
+        "max(..., 0) maps both to bucket 0",
+    ("summarize", "gap_ms // 1000.0"):
+        "flooring to whole seconds first gives the same 300 s bucket: "
+        "floor(floor(g / 1000) / 300) == floor(g / 300000)",
+    ("_parse_samples", "n + len(batch) >= len(timestamps)"):
         "it only doubles the columns once more when a batch would fill them "
         "exactly, and the rows never written are cut off at the end",
+    ("_parse_samples", "stream.count('\\n') + 2"):
+        "the columns get one spare row, which is cut off at the end",
+    ("_parse_samples", "array('q', [-1]) * size"): _FILL,
+    ("_parse_samples", "array('q', [1]) * size"): _FILL,
+    ("_parse_samples", "timestamps *= 3"): _GROWTH,
+    ("_parse_samples", "values *= 3"): _GROWTH,
+    ("window_features", "iter(context or (ContextSample(-1, True, "
+                        "ActivityState.SEDENTARY),))"): _STAND_IN,
+    ("window_features", "iter(context or (ContextSample(1, True, "
+                        "ActivityState.SEDENTARY),))"): _STAND_IN,
 }
 
 
 def _sites(tree: ast.Module, names: tuple[str, ...] | None):
     """(function name, shown node, mutate) in source order. ``mutate()``
-    swaps one comparison and returns the call that undoes it; the shown
-    node is the comparison, or for a comparison passed as a function the
-    statement's whole expression (``map(lt, ...)`` alone is ambiguous)."""
+    makes one change and returns the call that undoes it. The shown node
+    is the changed comparison, arithmetic expression or augmented
+    assignment; for a comparison passed as a function or a constant it is
+    the statement's whole expression, or the statement when the constant
+    is that expression (``map(lt, ...)`` or ``1`` alone is ambiguous)."""
     sites = []
+
+    def setter(node, field, value):
+        def mutate():
+            original = getattr(node, field)
+            setattr(node, field, value)
+            return lambda: setattr(node, field, original)
+        return mutate
 
     def swap_op(node, i):
         def mutate():
@@ -97,16 +146,11 @@ def _sites(tree: ast.Module, names: tuple[str, ...] | None):
             return lambda: node.ops.__setitem__(i, original)
         return mutate
 
-    def swap_name(node):
-        def mutate():
-            original = node.id
-            node.id = NAME_SWAPS[original]
-            return lambda: setattr(node, "id", original)
-        return mutate
-
-    def visit(node, func, top):
+    def visit(node, func, top, statement):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
+        if isinstance(node, ast.stmt):
+            statement = node
         if names is None or func in names:
             if isinstance(node, ast.Compare):
                 sites.extend((func, node, swap_op(node, i))
@@ -114,13 +158,20 @@ def _sites(tree: ast.Module, names: tuple[str, ...] | None):
                              if type(op) in SWAPS)
             elif (isinstance(node, ast.Name) and node.id in NAME_SWAPS
                   and isinstance(node.ctx, ast.Load)):
-                sites.append((func, top, swap_name(node)))
+                sites.append((func, top, setter(node, "id", NAME_SWAPS[node.id])))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                sites.extend((func, node, setter(node, "op", swap()))
+                             for swap in ARITH_SWAPS.get(type(node.op), ()))
+            elif isinstance(node, ast.Constant) and type(node.value) is int:
+                shown = statement if top is node else top
+                sites.extend((func, shown, setter(node, "value", node.value + step))
+                             for step in (-1, 1))
         for child in ast.iter_child_nodes(node):
             statement_part = (isinstance(node, ast.stmt)
                               and isinstance(child, ast.expr))
-            visit(child, func, child if statement_part else top)
+            visit(child, func, child if statement_part else top, statement)
 
-    visit(tree, None, None)
+    visit(tree, None, None, None)
     return sites
 
 
@@ -130,7 +181,8 @@ def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("SCENTCTL_CONFIG", None)
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    argv = [sys.executable, "-c", _LIMITED_PYTEST, str(RUN_MEMORY_BYTES),
+            "-x", "-q", "-p", "no:cacheprovider",
             *files, *(f"--deselect={test}" for test in DESELECT)]
     try:
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True,
@@ -144,51 +196,70 @@ def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
 
 def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="mutation-sweep-"))
-    copy = work / "repo"
+    copies = [work / f"repo{i}" for i in range(os.cpu_count() or 1)]
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, copy / name, ignore=ignore)
-    for name in ("pyproject.toml", "README.md"):
-        shutil.copy2(ROOT / name, copy / name)
+    # The mutants are unparsed modules: the unmutated baseline is too.
+    baseline = {rel: ast.unparse(ast.parse((ROOT / rel).read_text(encoding="utf-8")))
+                for rel in TARGETS}
+    for copy in copies:
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, copy / name)
+        for rel, text in baseline.items():
+            (copy / rel).write_text(text, encoding="utf-8")
+
+    # (module, its test files, where, function, before, after, mutant source)
+    mutants = []
+    for rel, (names, files) in TARGETS.items():
+        tree = ast.parse((ROOT / rel).read_text(encoding="utf-8"))
+        for func, node, mutate in _sites(tree, names):
+            before = ast.unparse(node)
+            undo = mutate()
+            after = ast.unparse(node)
+            mutants.append((rel, files, f"{Path(rel).name}:{node.lineno} {func}",
+                            func, before, after, ast.unparse(tree)))
+            undo()
+
+    free: queue.Queue[Path] = queue.Queue()
+    for copy in copies:
+        free.put(copy)
+
+    def run(mutant) -> tuple[bool, str, float]:
+        rel, files, *_, text = mutant
+        copy = free.get()
+        try:
+            (copy / rel).write_text(text, encoding="utf-8")
+            start = time.perf_counter()
+            passed, detail = _run_tests(copy, files)
+            if passed:
+                passed, detail = _run_tests(copy, ("tests",))
+            return passed, detail, time.perf_counter() - start
+        finally:
+            (copy / rel).write_text(baseline[rel], encoding="utf-8")
+            free.put(copy)
 
     survivors = []
     try:
-        # The mutants are unparsed modules: the unmutated baseline is too.
-        for rel in TARGETS:
-            source = (ROOT / rel).read_text(encoding="utf-8")
-            (copy / rel).write_text(ast.unparse(ast.parse(source)),
-                                    encoding="utf-8")
         for files in {files for _, files in TARGETS.values()}:
-            passed, detail = _run_tests(copy, files)
+            passed, detail = _run_tests(copies[0], files)
             if not passed:
                 print(f"the unmutated suite fails ({detail}); no sweep",
                       file=sys.stderr)
                 return 2
-        count = 0
-        for rel, (names, files) in TARGETS.items():
-            source = (ROOT / rel).read_text(encoding="utf-8")
-            tree = ast.parse(source)
-            for func, node, mutate in _sites(tree, names):
-                before = ast.unparse(node)
-                undo = mutate()
-                after = ast.unparse(node)
-                (copy / rel).write_text(ast.unparse(tree), encoding="utf-8")
-                undo()
-                count += 1
-                start = time.perf_counter()
-                passed, detail = _run_tests(copy, files)
-                if passed:
-                    passed, detail = _run_tests(copy, ("tests",))
-                where = f"{Path(rel).name}:{node.lineno} {func}"
+        with ThreadPoolExecutor(len(copies)) as pool:
+            for mutant, (passed, detail, seconds) in zip(mutants,
+                                                         pool.map(run, mutants)):
+                _, _, where, func, before, after, _ = mutant
                 outcome = "SURVIVED" if passed else f"killed by {detail}"
                 print(f"{where}: {before}  ->  {after}: {outcome} "
-                      f"({time.perf_counter() - start:.0f} s)", flush=True)
+                      f"({seconds:.0f} s)", flush=True)
                 if passed:
                     survivors.append((where, func, after))
-            (copy / rel).write_text(ast.unparse(tree), encoding="utf-8")
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    count = len(mutants)
     print(f"\n{count} mutants, {len(survivors)} survived")
     unexplained = 0
     for where, func, after in survivors:
