@@ -240,7 +240,7 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     n = 0
     prev_ts = -1  # below every valid timestamp
     line_no = 0
-    headed = False
+    first = True
     for batch in _batches(stream):
         while n + len(batch) > len(timestamps):  # other line breaks
             timestamps *= 2
@@ -266,6 +266,7 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
                     n += len(ts)
                     prev_ts = ts[-1]
                     line_no += len(batch)
+                    first = False
                     continue
         for raw in batch:
             line_no += 1
@@ -273,11 +274,10 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
             if not line:
                 continue
             fields = [f.strip() for f in line.split(",")]
-            # With no row and no header before it, this is the first
-            # non-blank line: the only one that may be a header.
-            if not n and not headed and not _looks_numeric(fields[0]):
-                headed = True
-                continue
+            if first:
+                first = False
+                if not _looks_numeric(fields[0]):
+                    continue  # header line: only the first may be one
             if len(fields) != n_fields:
                 raise StreamFormatError(
                     f"expected {n_fields} fields, got {len(fields)}", line_no)

@@ -818,6 +818,12 @@ def _cut_cases(draw):
     return streams, config, draw(st.integers(0, end))
 
 
+def _late_start(case, first):
+    """``case`` with its RR and HR rows before ``first`` dropped."""
+    streams, config = case
+    return _drop(streams, 0, first), config
+
+
 def _at_first_shutdown(case):
     """``case`` with the cut at the shutdown of its first release."""
     streams, config = case
@@ -843,6 +849,10 @@ def _at_first_shutdown(case):
                                        **_bursts(30.0))))
 @example(_at_first_shutdown(_loop_case(1, _SUSTAINED, 1.0, min_interval_s=1.0,
                                        **_bursts(0.0004))))
+# A late start at 200 s under a 60 s stride leaves two calibration
+# windows (ending at 240 s and 300 s): neither the run nor its cut
+# calibrates.
+@example((*_late_start(_loop_case(1, _SUSTAINED, 60.0), 200_000), 1_000_000))
 @given(_cut_cases())
 def test_replay_is_causal(case):
     streams, config, t = case
@@ -853,7 +863,11 @@ def test_replay_is_causal(case):
         try:
             full = list(replay(*streams, config))
         except InsufficientDataError:
-            full = None  # then no cut of it can calibrate either
+            # a late start may leave fewer than 3 calibration windows:
+            # then no cut of it can calibrate either
+            with pytest.raises(InsufficientDataError):
+                list(replay(*_cut(streams, t), config))
+            return
         try:
             cut = list(replay(*_cut(streams, t), config))
         except InsufficientDataError:
@@ -861,7 +875,6 @@ def test_replay_is_causal(case):
             rr, hr, _ = _cut(streams, t)
             assert max((s.timestamps[-1] for s in (rr, hr) if s), default=-1) < calib_ms
             return
-    assert full is not None
     assert t >= third_window_end  # fewer than 3 windows cannot calibrate
     if cut != full[:len(cut)]:
         held = cut.pop()

@@ -21,11 +21,12 @@ in:
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
 test files for the loop modules, ``test_ingest`` for ``ingest``); a
-mutant they do not kill runs against the whole suite. A mutant that no test kills is a
-survivor. Mutants run in parallel, one scratch copy per CPU. The script
-prints every mutant's outcome in source order, then the survivors,
-each marked with its reason when it is a known equivalent, and exits
-non-zero when a survivor is not a known equivalent.
+mutant they do not kill runs against the whole suite. A mutant that no
+test kills is a survivor. Mutants run in parallel, one scratch copy per
+CPU this process may use, at most four. The script prints every
+mutant's outcome in source order, then the survivors, each marked with
+its reason when it is a known equivalent, and exits non-zero when a
+survivor is not a known equivalent.
 
 Run from the repository root (about two hours on 2 vCPUs):
 
@@ -72,6 +73,9 @@ RUN_TIMEOUT_S = 300
 # Each test run gets this much address space: a mutant can also make a
 # buffer grow forever, and it must fail there, not exhaust the host.
 RUN_MEMORY_BYTES = 2 << 30
+# Test runs at once, one scratch copy each: one per CPU this process may
+# use (its affinity, which a cpuset narrows), but never more than this.
+MAX_WORKERS = 4
 # Sets the limit, then becomes pytest: a subprocess preexec_fn is unsafe
 # with the sweep's threads.
 _LIMITED_PYTEST = ("import os, resource, sys; "
@@ -95,8 +99,6 @@ ARITH_SWAPS = {ast.Add: (ast.Sub,), ast.Sub: (ast.Add,), ast.Mult: (ast.Div,),
 
 _FILL = ("the columns' fill value: each row kept is written over it, and "
          "the rows never written are cut off at the end")
-_GROWTH = ("the columns grow threefold where twofold suffices, and the rows "
-           "never written are cut off at the end")
 _STAND_IN = ("the stand-in context row's timestamp is never read: the first "
              "row's run starts at 0, and only later rows' timestamps are compared")
 # (function, mutated code as shown) -> why no test can tell it apart
@@ -114,8 +116,9 @@ EQUIVALENT = {
         "the columns get one spare row, which is cut off at the end",
     ("_parse_samples", "array('q', [-1]) * size"): _FILL,
     ("_parse_samples", "array('q', [1]) * size"): _FILL,
-    ("_parse_samples", "timestamps *= 3"): _GROWTH,
-    ("_parse_samples", "values *= 3"): _GROWTH,
+    ("_parse_samples", "values *= 3"):
+        "the values column grows threefold where twofold suffices, and the "
+        "rows never written are cut off at the end",
     ("window_features", "iter(context or (ContextSample(-1, True, "
                         "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("window_features", "iter(context or (ContextSample(1, True, "
@@ -196,7 +199,8 @@ def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
 
 def main() -> int:
     work = Path(tempfile.mkdtemp(prefix="mutation-sweep-"))
-    copies = [work / f"repo{i}" for i in range(os.cpu_count() or 1)]
+    workers = min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+    copies = [work / f"repo{i}" for i in range(workers)]
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     # The mutants are unparsed modules: the unmutated baseline is too.
     baseline = {rel: ast.unparse(ast.parse((ROOT / rel).read_text(encoding="utf-8")))
