@@ -102,7 +102,7 @@ def _load(args: argparse.Namespace) -> Config:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write_outputs(out_dir: Path, records: Iterable[dict], config: Config) -> dict:

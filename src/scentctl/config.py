@@ -148,7 +148,7 @@ def load_config(path: str | Path | None) -> Config:
 
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

@@ -11,19 +11,18 @@ object per sample. Everything here is a pure function over immutable
 data, safe from any thread.
 
 Ingest is linear in its input. Parsing splits the input into batches of
-lines about 4 KiB at a time. A batch of ordinary RR/HR rows (two numbers
-each, timestamps rising strictly from the last one kept, positive values)
-is converted and written into the columns in C; any other batch is
-checked row by row, naming the offending line. `window_features` pays
-two bisects per stream and window, and advances through the context
-rows as its window ends do, reading each row once.
+lines, which end at ``"\n"`` alone, about 4 KiB at a time. A batch of
+ordinary RR/HR rows (two numbers each, timestamps rising strictly from the
+last one kept, positive values) is converted and written into the columns
+in C; any other batch is checked row by row, naming the offending line.
+`window_features` pays two bisects per stream and window, and advances
+through the context rows as its window ends do, reading each row once.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -60,8 +59,6 @@ _TS_MAX = 2**63 - 1
 # Parsing splits its input into batches of lines about this many characters
 # long: larger batches hold more per-row objects at once and measured slower.
 _CHUNK_CHARS = 1 << 12
-# The line breaks a batch may end after; "\r\n" is one break.
-_BREAK = re.compile(r"\r\n?|\n")
 
 
 class StreamFormatError(ValueError):
@@ -197,18 +194,18 @@ def _looks_numeric(text: str) -> bool:
 
 
 def _batches(text: str) -> Iterator[list[str]]:
-    """Yield ``text.splitlines()`` one chunk of ``text`` at a time.
+    """Yield the lines of ``text``, split at ``"\n"``, a chunk at a time.
 
-    Each cut falls right after a ``"\n"``, ``"\r"`` or ``"\r\n"``, never
-    inside ``"\r\n"``, so the batches joined are exactly
-    ``text.splitlines()``.
+    A final ``"\n"`` ends the last line and starts no new one, so the
+    batches joined are a text-mode file's lines without their ``"\n"``.
     """
-    pos = 0
+    pos, end = 0, len(text) - text.endswith("\n")
     while pos < len(text):
-        found = _BREAK.search(text, pos + _CHUNK_CHARS - 1)
-        cut = found.end() if found else len(text)
-        yield text[pos:cut].splitlines()
-        pos = cut
+        cut = text.find("\n", pos + _CHUNK_CHARS - 1, end)
+        if cut < 0:
+            cut = end
+        yield text[pos:cut].split("\n")
+        pos = cut + 1
 
 
 def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
@@ -217,7 +214,9 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     Schemas: ``rr`` (`timestamp_ms,rr_ms`) and ``hr`` (`timestamp_ms,hr_bpm`)
     give a `Series`, ``context`` (`timestamp_ms,session_active,activity_state`)
     a `ContextSample` list. A header line is optional: the first non-blank
-    line, when its first field is not a number.
+    line, when its first field is not a number. Lines end at ``"\n"`` alone,
+    so the stream has at most ``stream.count("\n") + 1`` rows: each column is
+    sized to that once, and never grows.
 
     Timestamps must be non-decreasing and fit in 64 bits; rows sharing a
     timestamp collapse to the last value. Raises StreamFormatError (with
@@ -227,13 +226,8 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     columns = schema != "context"
     n_fields = 2 if columns else 3
 
-    # Both columns are sized once, to one row per "\n", "\r" or "\r\n",
-    # and each row is written at index ``n``: they never grow a row at a
-    # time, so the peak memory does not depend on how the allocator
-    # places them.
+    # The columns never grow: peak memory does not depend on the allocator.
     size = stream.count("\n") + 1
-    if "\r" in stream:
-        size += stream.count("\r") - stream.count("\r\n")
     timestamps = array("q", [0]) * size
     # doubles, or ContextSample rows for ``context``
     values: array | list = array("d", [0.0]) * size if columns else [None] * size
@@ -242,9 +236,6 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     line_no = 0
     first = True
     for batch in _batches(stream):
-        while n + len(batch) > len(timestamps):  # other line breaks
-            timestamps *= 2
-            values *= 2
         if columns:
             # The common batch: every row two numbers, timestamps in range
             # and rising strictly from the last one kept, values positive

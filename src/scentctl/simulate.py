@@ -288,8 +288,7 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
     hr = clean_hr(hr)
     ing = config.ingest
     calib_ms = round(ing.calibration_minutes * 60000)
-    # Every calibration window ends by calib_ms, so no later beat can
-    # calibrate; failing here spares windowing an absolute-time trace.
+    # No beat from calib_ms on calibrates: the error names the first kept one.
     if not rr or rr.timestamps[0] >= calib_ms:
         found = (f"the first kept RR beat is at {rr.timestamps[0]} ms" if rr
                  else "no RR beat is kept")

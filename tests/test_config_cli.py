@@ -629,6 +629,53 @@ def test_cli_replay_round_trip(tmp_path):
             == (replay_out / "events.ndjson").read_bytes())
 
 
+def _replay_copies(tmp_path, source, name, edit):
+    """Replay ``edit`` of each of ``source``'s three streams, written as
+    bytes; the outputs' bytes, by file name."""
+    args = []
+    for stream in ("rr", "hr", "context"):
+        path = tmp_path / f"{name}-{stream}.csv"
+        path.write_bytes(edit((source / f"{stream}.csv").read_text()).encode())
+        args += [f"--{stream}", str(path)]
+    out = tmp_path / name
+    assert main(["replay", *args, "--out", str(out)]) == 0
+    return {f: (out / f).read_bytes() for f in ("events.ndjson", "summary.json")}
+
+
+def test_cli_replay_reads_cr_and_crlf_line_endings(tmp_path):
+    # The reader turns "\r" and "\r\n" into "\n" before any parsing.
+    _, source = _synth(tmp_path, "source")
+    original = _replay_copies(tmp_path, source, "lf", lambda text: text)
+    for name, end in (("cr", "\r"), ("crlf", "\r\n")):
+        assert _replay_copies(tmp_path, source, name,
+                              lambda text: text.replace("\n", end)) == original
+
+
+def test_cli_replay_keeps_first_row_after_utf8_bom(tmp_path):
+    # Headerless streams: a byte-order mark must not make the first row
+    # look like a header and drop it.
+    _, source = _synth(tmp_path, "source")
+
+    def headerless(text):
+        return text.split("\n", 1)[1]
+
+    plain = _replay_copies(tmp_path, source, "plain", headerless)
+    assert _replay_copies(tmp_path, source, "bom",
+                          lambda text: "\ufeff" + headerless(text)) == plain
+
+
+def test_cli_synth_keeps_first_script_episode_after_utf8_bom(tmp_path):
+    events = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        script = _write(tmp_path, f"{name}.csv", f"{bom}8,6,stress,1.0\n")
+        out = tmp_path / name
+        assert main(["synth", "--seed", "1", "--blocks", "work:25",
+                     "--script", script, "--out", str(out)]) == 0
+        events.append((out / "events.ndjson").read_bytes())
+    assert events[0] == events[1]
+    assert b'"kind":"release"' in events[1]
+
+
 def test_cli_replay_rr_only(tmp_path, capsys):
     _, out = _synth(tmp_path, "source")
     code = main(["replay", "--rr", str(out / "rr.csv"),
@@ -784,6 +831,13 @@ def test_cli_bad_config_exit_3(tmp_path, capsys):
     code = main(["validate", "--config", config])
     assert code == 3
     assert "permutation" in capsys.readouterr().err
+
+
+def test_config_with_utf8_bom_loads(tmp_path, capsys):
+    config = _write(tmp_path, "bom.ini", "\ufeff[general]\nseed = 9\n")
+    assert load_config(config).seed == 9
+    assert main(["validate", "--config", config]) == 0
+    assert "OK" in capsys.readouterr().out
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import bisect
-import contextlib
 import dataclasses
 import json
 import random
-import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import time_bound
 from scentctl import ingest
 from scentctl.config import Config, IngestConfig
 from scentctl.estimator import (
@@ -660,20 +659,6 @@ def _ref_replay(rr: Series, hr: Series, context: list, config: "Config") -> list
     return records
 
 
-@contextlib.contextmanager
-def _time_bound(seconds):
-    """Fail the enclosed block with TimeoutError once it runs ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"example ran over {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _loop_case(seed, episodes, stride_s, **scheduler):
     """A 55-minute scripted session and a config with that stride and
     scheduler; the seed draws both the beats and the scents."""
@@ -759,7 +744,7 @@ def _rr_only(seed, minutes=20.0):
 @given(_loop_cases())
 def test_replay_stream_matches_sorted_reference(case):
     streams, config = case
-    with _time_bound(30):
+    with time_bound(30):
         stream = list(replay(*streams, config))
         expected = _ref_replay(*streams, config)
     assert stream == expected
@@ -859,7 +844,7 @@ def test_replay_is_causal(case):
     ing = config.ingest
     third_window_end = round(ing.window_len_s * 1000) + 2 * round(ing.stride_s * 1000)
     calib_ms = round(ing.calibration_minutes * 60000)
-    with _time_bound(30):
+    with time_bound(30):
         try:
             full = list(replay(*streams, config))
         except InsufficientDataError:

@@ -21,14 +21,15 @@ in:
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
 test files for the loop modules, ``test_ingest`` for ``ingest``); a
-mutant they do not kill runs against the whole suite. A mutant that no
-test kills is a survivor. Mutants run in parallel, one scratch copy per
-CPU this process may use, at most four. The script prints every
-mutant's outcome in source order, then the survivors, each marked with
-its reason when it is a known equivalent, and exits non-zero when a
-survivor is not a known equivalent.
+mutant they do not kill runs against the whole suite. Both runs take
+the ``sweep`` hypothesis profile of ``tests/conftest.py``, which does not
+shrink a failing example. A mutant that no test kills is a survivor.
+Mutants run in parallel, one scratch copy per CPU this process may use,
+at most four. The script prints every mutant's outcome in source order,
+then the survivors, each marked with its reason when it is a known
+equivalent, and exits non-zero when a survivor is not a known equivalent.
 
-Run from the repository root (about two hours on 2 vCPUs):
+Run from the repository root (about 50 minutes on 2 vCPUs):
 
     python tools/mutation_sweep.py
 
@@ -109,16 +110,10 @@ EQUIVALENT = {
     ("summarize", "gap_ms // 1000.0"):
         "flooring to whole seconds first gives the same 300 s bucket: "
         "floor(floor(g / 1000) / 300) == floor(g / 300000)",
-    ("_parse_samples", "n + len(batch) >= len(timestamps)"):
-        "it only doubles the columns once more when a batch would fill them "
-        "exactly, and the rows never written are cut off at the end",
     ("_parse_samples", "stream.count('\\n') + 2"):
         "the columns get one spare row, which is cut off at the end",
     ("_parse_samples", "array('q', [-1]) * size"): _FILL,
     ("_parse_samples", "array('q', [1]) * size"): _FILL,
-    ("_parse_samples", "values *= 3"):
-        "the values column grows threefold where twofold suffices, and the "
-        "rows never written are cut off at the end",
     ("window_features", "iter(context or (ContextSample(-1, True, "
                         "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("window_features", "iter(context or (ContextSample(1, True, "
@@ -185,7 +180,7 @@ def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("SCENTCTL_CONFIG", None)
     argv = [sys.executable, "-c", _LIMITED_PYTEST, str(RUN_MEMORY_BYTES),
-            "-x", "-q", "-p", "no:cacheprovider",
+            "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=sweep",
             *files, *(f"--deselect={test}" for test in DESELECT)]
     try:
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True,
