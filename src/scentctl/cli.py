@@ -139,7 +139,9 @@ def _parse_blocks(text: str) -> SessionPlan:
 def _parse_script(text: str) -> tuple[Episode, ...]:
     episodes = []
     first = True
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" alone, as in the sample streams; a "\r" before
+    # it is stripped with the other whitespace.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -166,10 +168,14 @@ def _parse_script(text: str) -> tuple[Episode, ...]:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _load(args)
-    rr = parse_rr_stream(_read_text(args.rr))
-    hr = parse_hr_stream(_read_text(args.hr)) if args.hr else Series((), ())
-    context = parse_context_stream(_read_text(args.context)) if args.context else []
-    records = replay(rr, hr, context, config)
+    # No local keeps the parsed streams: CPython 3.11 and later move call
+    # arguments into the callee's frame, so `replay` holds the only
+    # reference and frees each raw column once it has the filtered copy.
+    records = replay(
+        parse_rr_stream(_read_text(args.rr)),
+        parse_hr_stream(_read_text(args.hr)) if args.hr else Series((), ()),
+        parse_context_stream(_read_text(args.context)) if args.context else [],
+        config)
     out_dir = Path(args.out)
     summary = _write_outputs(out_dir, records, config)
     print(f"wrote {out_dir / 'events.ndjson'} and {out_dir / 'summary.json'} "

@@ -15,8 +15,9 @@ lines, which end at ``"\n"`` alone, about 4 KiB at a time. A batch of
 ordinary RR/HR rows (two numbers each, timestamps rising strictly from the
 last one kept, positive values) is converted and written into the columns
 in C; any other batch is checked row by row, naming the offending line.
-`window_features` pays two bisects per stream and window, and advances
-through the context rows as its window ends do, reading each row once.
+`iter_window_features` pays two bisects per stream and window, advances
+through the context rows as its window ends do, reading each row once, and
+holds no window after yielding it.
 """
 
 from __future__ import annotations
@@ -453,20 +454,36 @@ def window_features(
     window_len_s: float = DEFAULT_WINDOW_LEN_S,
     stride_s: float = DEFAULT_STRIDE_S,
 ) -> list[FeatureWindow]:
-    """Slide a window over cleaned streams and emit normalized features.
+    """The windows of `iter_window_features`, as a list."""
+    return list(iter_window_features(rr, hr, context, baseline,
+                                     window_len_s, stride_s))
+
+
+def iter_window_features(
+    rr: Series,
+    hr: Series,
+    context: Sequence[ContextSample],
+    baseline: Baseline,
+    window_len_s: float = DEFAULT_WINDOW_LEN_S,
+    stride_s: float = DEFAULT_STRIDE_S,
+) -> Iterator[FeatureWindow]:
+    """Slide a window over cleaned streams and yield normalized features.
 
     One window is produced per stride step whose end lies within the
     trace; windows holding fewer than two RR samples are skipped, not an
     error, and the sweep jumps over strides that cannot hold two. Mean
     HR comes from the HR samples inside the window when any exist,
-    otherwise it is derived from the window's mean RR interval.
+    otherwise it is derived from the window's mean RR interval. Windows
+    are made as they are consumed, so a bad window length or stride
+    raises ValueError at the first one.
 
     A window's context is the last row stamped at or before its end; rows
     before the first one inherit it. Continuous work minutes count from
     the start of that row's unbroken ``session_active`` run (time zero for
     a run that reaches the first row) and are zero while the session is
     inactive. With no context stream the session is one active, sedentary
-    run from time zero.
+    run from time zero. Consecutive windows with equal flags share one
+    `ContextFlags`: every window of an inactive run carries the same one.
     """
     if window_len_s < 60:
         raise ValueError("window_len_s must be at least 60 s")
@@ -480,14 +497,14 @@ def window_features(
 
     ends = [a[-1] for a in (rr_ts, hr_ts) if a]
     if not ends:
-        return []
+        return
     trace_end = max(ends)
 
     # Window ends only increase, so the row in effect and the start of its
     # active run advance with the sweep, each row read once.
     rows = iter(context or (ContextSample(0, True, ActivityState.SEDENTARY),))
     row, following, run_start = next(rows), next(rows, None), 0
-    windows: list[FeatureWindow] = []
+    key = None
     start = 0
     while start + window_ms <= trace_end:
         end = start + window_ms
@@ -512,7 +529,11 @@ def window_features(
             if following.session_active and not row.session_active:
                 run_start = following.timestamp
             row, following = following, next(rows, None)
-        windows.append(FeatureWindow(
+        work = (end - run_start) / 60000.0 if row.session_active else 0.0
+        new = (work, row.activity_state, row.session_active)
+        if new != key:
+            key, flags = new, ContextFlags(*new)
+        yield FeatureWindow(
             window_start=start,
             window_end=end,
             rmssd=rmssd,
@@ -521,9 +542,6 @@ def window_features(
             z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
             z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
             z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
-            context=ContextFlags(
-                (end - run_start) / 60000.0 if row.session_active else 0.0,
-                row.activity_state, row.session_active),
-        ))
+            context=flags,
+        )
         start += stride_ms
-    return windows

@@ -43,6 +43,7 @@ from .ingest import (
     Series,
     clean_hr,
     compute_baseline,
+    iter_window_features,
     reject_artifacts,
     window_features,
 )
@@ -279,10 +280,12 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
            config: "Config") -> Iterator[dict]:
     """Calibrate on the streams, then return the stream of their records.
 
-    Filtering, the baseline (from the calibration span's rows alone) and
-    one feature pass over the whole session run before this returns, so
-    input errors raise here. The iterator runs the loop on each window
-    after the span as it is consumed and yields its records in time order.
+    Filtering and the baseline (from the calibration span's rows alone)
+    run before this returns, so input errors raise here. The session pass
+    runs as the records are consumed: it makes each window after the span,
+    runs the loop on it and yields its records in time order, holding one
+    window at a time. The filtered streams replace ``rr`` and ``hr``, so a
+    caller that keeps no reference to the raw ones lets them be freed.
     """
     rr = reject_artifacts(rr)
     hr = clean_hr(hr)
@@ -306,7 +309,7 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
         head(rr), head(hr), context, Baseline.provisional(),
         ing.window_len_s, ing.stride_s) if w.window_end <= calib_ms]
     baseline = compute_baseline(calibration)
-    windows = window_features(
+    windows = iter_window_features(
         rr, hr, context, baseline, ing.window_len_s, ing.stride_s)
     return _evaluate((w for w in windows if w.window_end > calib_ms), config)
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,13 +16,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scentctl
-from scentctl.cli import CONFIG_ENV_VAR, main
+from scentctl import cli, ingest, simulate
+from scentctl.cli import CONFIG_ENV_VAR, _parse_script, main
 from scentctl.config import Config, ConfigError, IngestConfig, load_config
 from scentctl.estimator import EstimatorConfig
 from scentctl.irproto import IRCodeTable
 from scentctl.scents import Intensity, Rhythm, vocabulary
 from scentctl.scheduler import SchedulerConfig
-from scentctl.simulate import RECORD_KINDS, SimulatorConfig
+from scentctl.simulate import RECORD_KINDS, ScriptError, SimulatorConfig
 
 
 def _write(tmp_path, name, text):
@@ -674,6 +676,52 @@ def test_cli_synth_keeps_first_script_episode_after_utf8_bom(tmp_path):
         events.append((out / "events.ndjson").read_bytes())
     assert events[0] == events[1]
     assert b'"kind":"release"' in events[1]
+
+
+def test_script_lines_end_at_newline_alone(tmp_path, capsys):
+    # "\x85" ends a line for str.splitlines(), but not in a sample stream
+    text = "8,6,stress,1.0\x8520,5,fatigue,1.0\n"
+    with pytest.raises(ScriptError, match="^script line 1: expected 4 fields$"):
+        _parse_script(text)
+    script = _write(tmp_path, "script.csv", text)
+    assert main(["synth", "--seed", "1", "--blocks", "work:30",
+                 "--script", script, "--out", str(tmp_path / "x")]) == 3
+    assert "script line 1: expected 4 fields" in capsys.readouterr().err
+    # the "\r" of a "\r\n" ending is stripped with the other whitespace
+    lf = "start_min,duration_min,kind,magnitude\n8,6,stress,1.0\n20,5,fatigue,1.0\n"
+    assert _parse_script(lf.replace("\n", "\r\n")) == _parse_script(lf)
+    assert len(_parse_script(lf)) == 2
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "CPython 3.10 keeps call arguments on the caller's stack until the "
+    "call returns, so the raw columns live through the whole replay"))
+def test_cli_replay_frees_raw_columns_before_the_session_pass(tmp_path,
+                                                               monkeypatch):
+    beats = [800.0 + 10 * (i % 2) for i in range(600)]  # 8 minutes
+    beats[300] = 1500.0  # one artifact: the filter makes a copy
+    rr = _write(tmp_path, "rr.csv", "".join(
+        f"{i * 800},{v}\n" for i, v in enumerate(beats)))
+    raw = []
+
+    def parse_rr(text):
+        series = ingest.parse_rr_stream(text)
+        raw.extend(weakref.ref(col.obj) for col in (series.timestamps,
+                                                     series.values))
+        return series
+
+    sweep = simulate.iter_window_features
+    at_sweep = []
+
+    def session_sweep(rr, *rest):
+        at_sweep.append((len(rr), [ref() is not None for ref in raw]))
+        return sweep(rr, *rest)
+
+    monkeypatch.setattr(cli, "parse_rr_stream", parse_rr)
+    monkeypatch.setattr(simulate, "iter_window_features", session_sweep)
+    assert main(["replay", "--rr", rr, "--out", str(tmp_path / "out")]) == 0
+    # the filtered copy, one beat short, and no raw column alive
+    assert at_sweep == [(len(beats) - 1, [False, False])]
 
 
 def test_cli_replay_rr_only(tmp_path, capsys):

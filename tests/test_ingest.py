@@ -907,6 +907,20 @@ def test_window_context_matches_reference(ctx):
         assert w.context == reference_context_at(ctx, w.window_end)
 
 
+def test_windows_of_an_inactive_run_share_one_flags_object():
+    rr = _series((t, 800.0) for t in range(0, 3600001, 4000))
+    ctx = [ContextSample(0, True, _SED),
+           ContextSample(20 * 60000, False, ActivityState.ACTIVE),
+           ContextSample(40 * 60000, True, _SED)]
+    windows = window_features(rr, Series((), ()), ctx, Baseline.provisional(),
+                              120, 60)
+    off = [w for w in windows if not w.context.session_active]
+    assert len(off) == 20
+    assert all(w.context is off[0].context for w in off)
+    for w in windows:
+        assert w.context == reference_context_at(ctx, w.window_end)
+
+
 class _CountingList(list):
     """A list that counts the items read through indexing and iteration."""
 

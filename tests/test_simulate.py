@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import gc
 import json
 import random
 
@@ -23,6 +24,7 @@ from scentctl.estimator import (
 )
 from scentctl.ingest import (
     Baseline,
+    FeatureWindow,
     InsufficientDataError,
     Series,
     clean_hr,
@@ -764,6 +766,21 @@ def test_replay_makes_one_session_pass(monkeypatch):
     list(replay(rr, hr, context, config))
     assert (len(windows), calibration) == (54, 4)
     assert len(calls) <= len(windows) + calibration
+
+
+def test_replay_holds_one_window_at_a_time():
+    def live_windows():
+        gc.collect()
+        return sum(isinstance(o, FeatureWindow) for o in gc.get_objects())
+
+    plan = SessionPlan((SessionBlock(BlockKind.WORK, 180.0),))
+    streams = generate_session(4, plan, (), CFG.simulator)
+    before = live_windows()
+    records = replay(*streams, CFG)
+    half_hour_in = round(CFG.ingest.calibration_minutes * 60000) + 30 * 60000
+    next(r for r in records if r["t"] >= half_hour_in)
+    # the window the loop is on, of the session's 179
+    assert live_windows() - before == 1
 
 
 # -- causality ----------------------------------------------------------------

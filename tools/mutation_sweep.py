@@ -16,7 +16,7 @@ in:
 - ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
 - ``ingest._parse_samples``, ``reject_artifacts``, ``clean_hr``,
-  ``compute_baseline`` and ``window_features``.
+  ``compute_baseline``, ``window_features`` and ``iter_window_features``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
@@ -65,7 +65,7 @@ TARGETS = {
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
     "src/scentctl/ingest.py": (("_parse_samples", "reject_artifacts",
                                 "clean_hr", "compute_baseline",
-                                "window_features"),
+                                "window_features", "iter_window_features"),
                                ("tests/test_ingest.py",)),
 }
 # A test run that takes longer counts as a kill: a mutant can make a loop
@@ -114,10 +114,10 @@ EQUIVALENT = {
         "the columns get one spare row, which is cut off at the end",
     ("_parse_samples", "array('q', [-1]) * size"): _FILL,
     ("_parse_samples", "array('q', [1]) * size"): _FILL,
-    ("window_features", "iter(context or (ContextSample(-1, True, "
-                        "ActivityState.SEDENTARY),))"): _STAND_IN,
-    ("window_features", "iter(context or (ContextSample(1, True, "
-                        "ActivityState.SEDENTARY),))"): _STAND_IN,
+    ("iter_window_features", "iter(context or (ContextSample(-1, True, "
+                             "ActivityState.SEDENTARY),))"): _STAND_IN,
+    ("iter_window_features", "iter(context or (ContextSample(1, True, "
+                             "ActivityState.SEDENTARY),))"): _STAND_IN,
 }
 
 
