@@ -6,9 +6,10 @@ features (RMSSD, SDNN, mean HR) expressed as baseline-normalized
 deviations, together with the contextual flags the classifier needs.
 
 All timestamps are integer milliseconds since session start. RR and HR
-are `Series` of two read-only typed columns, 8 bytes per value, with no
-object per sample. Everything here is a pure function over immutable
-data, safe from any thread.
+are `Series` of two read-only typed columns with no object per sample:
+doubles, and timestamps in 4 bytes each when every one of a stream's
+timestamps fits (up to 2**31 - 1 ms, 24.8 days), else in 8. Everything
+here is a pure function over immutable data, safe from any thread.
 
 Ingest is linear in its input. Parsing splits the input into batches of
 lines, which end at ``"\n"`` alone, about 4 KiB at a time. A batch of
@@ -55,7 +56,8 @@ DEFAULT_WINDOW_LEN_S = 120.0
 DEFAULT_STRIDE_S = 60.0
 DEFAULT_CALIBRATION_MINUTES = 5.0
 
-# The largest timestamp a `Series` column (signed 64-bit) can hold.
+# The largest timestamp a 4-byte and an 8-byte `Series` timestamp column hold.
+_TS4_MAX = 2**31 - 1
 _TS_MAX = 2**63 - 1
 # Parsing splits its input into batches of lines about this many characters
 # long: larger batches hold more per-row objects at once and measured slower.
@@ -89,21 +91,28 @@ def _frozen(column: array) -> memoryview:
 class Series:
     """An RR (ms) or HR (bpm) stream as two equal-length columns.
 
-    The columns are read-only memoryviews, 8 bytes per value: signed
-    64-bit timestamps (format ``q``) and doubles (format ``d``). Any other
-    sequence given is copied into a fresh column; slicing one is
-    zero-copy, and writing to one raises TypeError.
+    The columns are read-only memoryviews: timestamps, signed 32-bit
+    (format ``i``, 4 bytes) when they all fit and signed 64-bit (``q``)
+    otherwise, and doubles (``d``). A read-only ``i`` or ``q`` view is
+    kept at its width; any other sequence given is copied into a fresh
+    column, the narrower one when it fits. Slicing a column is
+    zero-copy, and writing to one raises TypeError. Columns of either
+    width holding equal values compare equal.
     """
 
     timestamps: memoryview
     values: memoryview
 
     def __post_init__(self) -> None:
-        for name, code in (("timestamps", "q"), ("values", "d")):
+        for name, codes in (("timestamps", ("i", "q")), ("values", ("d",))):
             column = getattr(self, name)
             if not (isinstance(column, memoryview) and column.readonly
-                    and column.format == code and column.c_contiguous):
-                object.__setattr__(self, name, _frozen(array(code, column)))
+                    and column.format in codes and column.c_contiguous):
+                try:
+                    column = array(codes[0], column)
+                except OverflowError:  # a timestamp needs 8 bytes
+                    column = array(codes[-1], column)
+                object.__setattr__(self, name, _frozen(column))
         if len(self.timestamps) != len(self.values):
             raise ValueError("timestamps and values differ in length")
 
@@ -209,6 +218,13 @@ def _batches(text: str) -> Iterator[list[str]]:
         pos = cut + 1
 
 
+def _widened(timestamps: array, n: int) -> array:
+    """An 8-byte column as long as ``timestamps``, holding its first ``n``."""
+    wide = array("q", [0]) * len(timestamps)
+    wide[:n] = array("q", timestamps[:n])
+    return wide
+
+
 def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     """Parse a line-oriented CSV sample stream.
 
@@ -217,7 +233,9 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     a `ContextSample` list. A header line is optional: the first non-blank
     line, when its first field is not a number. Lines end at ``"\n"`` alone,
     so the stream has at most ``stream.count("\n") + 1`` rows: each column is
-    sized to that once, and never grows.
+    sized to that once, and never grows. Timestamps go into a 4-byte column,
+    which is copied into an 8-byte one, once, at the first timestamp above
+    2**31 - 1 (for an epoch-millisecond stream, at its first row).
 
     Timestamps must be non-decreasing and fit in 64 bits; rows sharing a
     timestamp collapse to the last value. Raises StreamFormatError (with
@@ -229,7 +247,7 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
 
     # The columns never grow: peak memory does not depend on the allocator.
     size = stream.count("\n") + 1
-    timestamps = array("q", [0]) * size
+    timestamps = array("i", [0]) * size
     # doubles, or ContextSample rows for ``context``
     values: array | list = array("d", [0.0]) * size if columns else [None] * size
     n = 0
@@ -253,7 +271,10 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
                 if (prev_ts < ts[0] and ts[-1] <= _TS_MAX
                         and all(map(lt, ts, ts[1:]))
                         and all(map(lt, repeat(0.0), vs))):
-                    pack_into(f"{len(ts)}q", timestamps, 8 * n, *ts)
+                    if ts[-1] > _TS4_MAX and timestamps.typecode == "i":
+                        timestamps = _widened(timestamps, n)
+                    pack_into(f"{len(ts)}{timestamps.typecode}", timestamps,
+                              timestamps.itemsize * n, *ts)
                     pack_into(f"{len(vs)}d", values, 8 * n, *vs)
                     n += len(ts)
                     prev_ts = ts[-1]
@@ -306,6 +327,8 @@ def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
             if ts == prev_ts:
                 values[n - 1] = value  # duplicate timestamp: last value wins
             else:
+                if ts > _TS4_MAX and timestamps.typecode == "i":
+                    timestamps = _widened(timestamps, n)
                 timestamps[n] = ts
                 values[n] = value
                 n += 1
@@ -347,7 +370,7 @@ def _drop(samples: Series, dropped: list[int]) -> Series:
     """``samples`` without the rows at the ascending indices ``dropped``."""
     if not dropped:
         return samples  # immutable, so sharing it is safe
-    kept = array("q"), array("d")
+    kept = array(samples.timestamps.format), array("d")
     for column, view in zip(kept, (samples.timestamps, samples.values)):
         start = 0
         for i in dropped:

@@ -242,7 +242,8 @@ def generate_session(
     rng = random.Random(seed)
     total_ms = round(plan.total_minutes * 60000)
 
-    rr_ts, rr_v = array("q"), array("d")
+    # A plan lasts at most MAX_SESSION_MIN, so every timestamp fits 4 bytes.
+    rr_ts, rr_v = array("i"), array("d")
     t = 0.0
     while True:
         mean, jitter = _episode_effect(t / 60000.0, script, sim)

@@ -105,6 +105,28 @@ def test_series_from_tuples_equals_parsed_series():
     assert built != Series((0, 800, 1610), (800.0, 810.5, 791.0))
 
 
+def test_series_timestamps_take_4_bytes_when_they_all_fit():
+    top = 2**31 - 1
+    for ts, code in (((0, 800), "i"), ((-top - 1, top), "i"),
+                     ((0, top + 1), "q"), ((-top - 2, 0), "q")):
+        series = Series(ts, (800.0, 810.0))
+        assert series.timestamps.format == code, ts
+        assert tuple(series.timestamps) == ts
+    # a writable view is copied, at the width its values need
+    assert Series(memoryview(array("q", (0, 800))),
+                  (800.0, 810.0)).timestamps.format == "i"
+
+
+def test_series_keeps_a_read_only_view_of_either_width():
+    series = {}
+    for code in "iq":
+        view = memoryview(array(code, (0, 800))).toreadonly()
+        series[code] = Series(view, (800.0, 810.0))
+        assert series[code].timestamps is view
+    assert series["i"] == series["q"] and series["q"] == series["i"]
+    assert series["q"] != Series((0, 801), (800.0, 810.0))
+
+
 # -- parsing ----------------------------------------------------------------
 
 def test_parse_rr_basic():
@@ -195,6 +217,9 @@ def test_parse_hr_and_context_schemas():
 def test_parse_context_bad_activity():
     with pytest.raises(StreamFormatError, match="line 1"):
         parse_context_stream("0,1,walking")
+    with pytest.raises(StreamFormatError) as info:
+        parse_context_stream("0,1,sedentary\n60000,0,walking")
+    assert str(info.value) == "line 2: bad activity state 'walking'"
 
 
 def _written(write, *args) -> str:
@@ -232,6 +257,63 @@ def test_parse_timestamp_bounded_by_64_bits():
         assert str(info.value) == f"line 2: timestamp {top + 1} out of range"
 
 
+@pytest.mark.parametrize("parse", [parse_rr_stream, parse_hr_stream])
+def test_parse_timestamps_into_4_bytes_while_they_fit(parse):
+    top = 2**31 - 1
+    narrow = parse(f"timestamp_ms,value\n0,80\n{top},80\n")
+    assert (narrow.timestamps.format, narrow.timestamps.itemsize) == ("i", 4)
+    wide = parse(f"0,80\n{top + 1},80\n")
+    assert (wide.timestamps.format, wide.timestamps.itemsize) == ("q", 8)
+    assert tuple(wide.timestamps) == (0, top + 1)
+
+
+# (text, the index of its first kept row above 2**31 - 1, or None).
+# Wherever the text is cut into batches, the column widens once: at that
+# row in the row path, at the start of the batch holding it in the batch
+# path. The rows written before it carry over.
+_EPOCH = 1_700_000_000_000
+_WIDENING = [
+    pytest.param("".join(f"{_EPOCH + 800 * i},{800 + i}\n" for i in range(6)), 0,
+                 id="epoch"),
+    pytest.param(f"ts,rr\n{_EPOCH},800\n{_EPOCH},790\n{_EPOCH + 800},810\n", 0,
+                 id="epoch-after-header"),
+    pytest.param(f"0,800\n800,810\n{2**31 - 1},805\n{2**31},800\n{2**31 + 800},810\n",
+                 3, id="crossing"),
+    pytest.param(f"0,800\n{2**31 - 1},805\n{2**31},800\n{2**31},790\n{2**31 + 9},7\n",
+                 2, id="crossing-then-duplicate"),
+    pytest.param(f"0,800\n{2**31 - 1},805\n{2**31 - 1},790\n{2**31},800\n", 2,
+                 id="duplicate-then-crossing"),
+    pytest.param(f"0,800\n{2**31},800\nts,rr\n", 1, id="crossing-then-header-like"),
+    pytest.param(f"0,800\n{2**31},800\n{2**31 - 1},800\n", 1,
+                 id="crossing-then-decrease"),
+    pytest.param(f"0,800\nts,rr\n{2**31},800\n", None, id="header-like-then-wide"),
+    pytest.param(f"0,800\n{2**31 - 1},805\n{2**31 - 1},790\n", None,
+                 id="duplicate-at-the-top"),
+]
+
+
+@pytest.mark.parametrize("text, first_wide", _WIDENING)
+def test_parse_widens_timestamps_once_at_the_first_wide_row(text, first_wide):
+    reference = _parse_outcome(reference_parse_samples, "rr", text)
+    widen, calls = ingest._widened, []
+
+    def widened(timestamps, n):
+        calls.append(n)
+        return widen(timestamps, n)
+
+    for chunk_chars in range(1, len(text) + 2):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+            patch.setattr(ingest, "_widened", widened)
+            assert _parse_outcome(_parse_samples, "rr", text) == reference
+        assert len(calls) == (first_wide is not None), chunk_chars
+        assert all(n <= first_wide for n in calls), chunk_chars
+    if isinstance(reference, str):  # parsed: the width follows the values
+        expected = "i" if first_wide is None else "q"
+        assert parse_rr_stream(text).timestamps.format == expected
+
+
 def test_parse_and_filter_peak_memory_per_row():
     # 200k rows, one artifact in 50, so the filter copies its columns.
     rows = 200_000
@@ -265,6 +347,26 @@ def test_parse_peak_memory_per_row_with_cr_line_breaks():
         tracemalloc.stop()
     assert len(rr) == rows - rows // 50
     assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
+
+
+def test_parse_and_filter_session_relative_rows_in_4_byte_timestamps():
+    # Timestamps since session start take 4 bytes, so the parsed and the
+    # filtered columns together cost 24 bytes per row where 8-byte ones
+    # cost 32; the rest is one batch of lines.
+    rows = 200_000
+    text = "timestamp_ms,rr_ms\n" + "".join(
+        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\n"
+        for i in range(rows))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rr = reject_artifacts(parse_rr_stream(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rr) == rows - rows // 50
+    assert rr.timestamps.format == "i"
+    assert peak / rows <= 28, f"{peak / rows:.1f} bytes per row"
 
 
 def test_parse_and_filter_build_no_per_sample_objects():
@@ -312,6 +414,16 @@ def test_filters_share_clean_input():
     assert reject_artifacts(rr) is rr
     assert clean_hr(hr) is hr
     assert reject_artifacts(_rr([800, 2500])) == _rr([800])
+
+
+@pytest.mark.parametrize("code", ["i", "q"])
+def test_filters_keep_their_input_timestamp_width(code):
+    ts = memoryview(array(code, (0, 800, 1600))).toreadonly()
+    rr = reject_artifacts(Series(ts, (800.0, 2500.0, 810.0)))
+    hr = clean_hr(Series(ts, (72.0, 300.0, 71.0)))
+    for out in (rr, hr):
+        assert out.timestamps.format == code
+        assert tuple(out.timestamps) == (0, 1600)
 
 
 def test_reject_all_rejected_yields_empty():
@@ -810,7 +922,7 @@ def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
     written = []
 
     def pack_into(fmt, buffer, offset, *items):
-        if fmt.endswith("q"):
+        if fmt[-1] in "iq":
             written.append(list(items))
         struct.pack_into(fmt, buffer, offset, *items)
 

@@ -192,6 +192,14 @@ def test_generation_timestamps_strictly_increase():
         assert nxt > prev
 
 
+def test_generation_holds_timestamps_in_4_bytes():
+    # The longest plan ends below 2**31 ms, so every session's timestamps fit.
+    assert MAX_SESSION_MIN * 60000 <= 2**31 - 1
+    plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),))
+    rr, hr, _ = generate_session(3, plan, (), CFG.simulator)
+    assert rr.timestamps.format == hr.timestamps.format == "i"
+
+
 def test_context_follows_plan():
     plan = SessionPlan((SessionBlock(BlockKind.WORK, 30.0),
                         SessionBlock(BlockKind.BREAK, 8.0)))

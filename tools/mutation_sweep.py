@@ -15,8 +15,9 @@ in:
   validation included);
 - ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
-- ``ingest._parse_samples``, ``reject_artifacts``, ``clean_hr``,
-  ``compute_baseline``, ``window_features`` and ``iter_window_features``.
+- ``ingest._parse_samples``, ``_widened``, ``_drop``, ``reject_artifacts``,
+  ``clean_hr``, ``compute_baseline``, ``window_features`` and
+  ``iter_window_features``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
@@ -63,9 +64,10 @@ TARGETS = {
     "src/scentctl/simulate.py": (("replay", "_evaluate", "summarize"),
                                  LOOP_TESTS),
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
-    "src/scentctl/ingest.py": (("_parse_samples", "reject_artifacts",
-                                "clean_hr", "compute_baseline",
-                                "window_features", "iter_window_features"),
+    "src/scentctl/ingest.py": (("_parse_samples", "_widened", "_drop",
+                                "reject_artifacts", "clean_hr",
+                                "compute_baseline", "window_features",
+                                "iter_window_features"),
                                ("tests/test_ingest.py",)),
 }
 # A test run that takes longer counts as a kill: a mutant can make a loop
@@ -112,8 +114,10 @@ EQUIVALENT = {
         "floor(floor(g / 1000) / 300) == floor(g / 300000)",
     ("_parse_samples", "stream.count('\\n') + 2"):
         "the columns get one spare row, which is cut off at the end",
-    ("_parse_samples", "array('q', [-1]) * size"): _FILL,
-    ("_parse_samples", "array('q', [1]) * size"): _FILL,
+    ("_parse_samples", "array('i', [-1]) * size"): _FILL,
+    ("_parse_samples", "array('i', [1]) * size"): _FILL,
+    ("_widened", "array('q', [-1]) * len(timestamps)"): _FILL,
+    ("_widened", "array('q', [1]) * len(timestamps)"): _FILL,
     ("iter_window_features", "iter(context or (ContextSample(-1, True, "
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("iter_window_features", "iter(context or (ContextSample(1, True, "
