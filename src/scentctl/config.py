@@ -146,7 +146,8 @@ def load_config(path: str | Path | None) -> Config:
     if path is None:
         return Config()
 
-    parser = configparser.ConfigParser(interpolation=None,
+    # No header can name section "": [DEFAULT] is an unknown section too.
+    parser = configparser.ConfigParser(interpolation=None, default_section="",
                                        inline_comment_prefixes=(";", "#"))
     text = Path(path).read_text(encoding="utf-8-sig")
     try:

@@ -422,7 +422,7 @@ def summarize(records: Iterable[dict], config: "Config") -> dict:
     reads.
     """
     min_interval_ms = config.scheduler.min_interval_ms
-    state_min = config.ingest.stride_s / 60.0
+    state_min = round(config.ingest.stride_s * 1000) / 60000  # window step, min
     channel_of = {s.key: s.channel for s in config.vocabulary}
     codes = config.ir_table.codes
     releases = violations = 0

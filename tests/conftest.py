@@ -9,9 +9,12 @@ from hypothesis import Phase, settings
 
 # `tools/mutation_sweep.py` runs the tests with --hypothesis-profile=sweep.
 # It needs only whether a test fails, not its smallest failing example,
-# and shrinking one on a slow mutant can take minutes.
+# and shrinking one on a slow mutant can take minutes. Derandomized, every
+# run draws the same examples and keeps no example database, so two sweeps
+# of one tree find the same survivors.
 settings.register_profile(
-    "sweep", phases=[phase for phase in Phase if phase is not Phase.shrink])
+    "sweep", derandomize=True,
+    phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 
 @contextlib.contextmanager

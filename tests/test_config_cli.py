@@ -239,7 +239,9 @@ def test_readme_example_config_loads(tmp_path):
 # section in its own block (with its `default_config`), renamed with a
 # `_ref` prefix. Its scheduler block still collects duties and bursts in
 # maps keyed by `Intensity` and `Rhythm`, now starting empty, and
-# `_ref_flat` turns them into the `SchedulerConfig` fields they set. The
+# `_ref_flat` turns them into the `SchedulerConfig` fields they set. Its
+# parser, like the loader's, has no default section, so a [DEFAULT]
+# section is unknown there too instead of merging into the others. The
 # table-driven loader must give an equal `Config` or the same error text
 # on every input, including which of several bad sections it reports.
 # The reference strips no inline comments, so generated files contain no
@@ -306,7 +308,7 @@ def _ref_load_config(path: str | Path | None) -> Config:
     if path is None:
         return cfg
 
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))
@@ -872,6 +874,19 @@ def _non_utf8_rr(tmp_path):
 def test_cli_unreadable_path_exit_2(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     assert "input error: " in capsys.readouterr().err
+
+
+# A [DEFAULT] section's keys would reach every section, or none: alone it
+# would change nothing, before [estimator] it would set alpha, and before
+# [scheduler] it would read as that section's unknown key.
+@pytest.mark.parametrize("after", ["", "[estimator]\n", "[scheduler]\n"],
+                         ids=["alone", "before-estimator", "before-scheduler"])
+def test_cli_default_section_is_unknown_exit_3(tmp_path, capsys, after):
+    config = _write(tmp_path, "default.ini", f"[DEFAULT]\nalpha = 0.9\n{after}")
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        load_config(config)
+    assert main(["validate", "--config", config]) == 3
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_3(tmp_path, capsys):

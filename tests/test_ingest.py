@@ -268,9 +268,9 @@ def test_parse_timestamps_into_4_bytes_while_they_fit(parse):
 
 
 # (text, the index of its first kept row above 2**31 - 1, or None).
-# Wherever the text is cut into batches, the column widens once: at that
-# row in the row path, at the start of the batch holding it in the batch
-# path. The rows written before it carry over.
+# Wherever the text is cut into batches, writing that row ends the 4-byte
+# parse, and the text is parsed once more, into 8 bytes; without such a
+# row it is parsed once.
 _EPOCH = 1_700_000_000_000
 _WIDENING = [
     pytest.param("".join(f"{_EPOCH + 800 * i},{800 + i}\n" for i in range(6)), 0,
@@ -295,67 +295,35 @@ _WIDENING = [
 @pytest.mark.parametrize("text, first_wide", _WIDENING)
 def test_parse_widens_timestamps_once_at_the_first_wide_row(text, first_wide):
     reference = _parse_outcome(reference_parse_samples, "rr", text)
-    widen, calls = ingest._widened, []
+    calls = []
 
-    def widened(timestamps, n):
-        calls.append(n)
-        return widen(timestamps, n)
+    def parse(stream, schema, typecode="i"):
+        calls.append(typecode)
+        return _parse_samples(stream, schema, typecode)
 
+    expected_calls = ["i"] if first_wide is None else ["i", "q"]
     for chunk_chars in range(1, len(text) + 2):
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
-            patch.setattr(ingest, "_widened", widened)
-            assert _parse_outcome(_parse_samples, "rr", text) == reference
-        assert len(calls) == (first_wide is not None), chunk_chars
-        assert all(n <= first_wide for n in calls), chunk_chars
+            patch.setattr(ingest, "_parse_samples", parse)
+            assert _parse_outcome(ingest._parse_samples, "rr", text) == reference
+        assert calls == expected_calls, chunk_chars
     if isinstance(reference, str):  # parsed: the width follows the values
         expected = "i" if first_wide is None else "q"
         assert parse_rr_stream(text).timestamps.format == expected
 
 
-def test_parse_and_filter_peak_memory_per_row():
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_parse_and_filter_session_relative_rows_in_4_byte_timestamps(newline):
     # 200k rows, one artifact in 50, so the filter copies its columns.
-    rows = 200_000
-    text = "timestamp_ms,rr_ms\n" + "".join(
-        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\n"
-        for i in range(rows))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rr = reject_artifacts(parse_rr_stream(text))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(rr) == rows - rows // 50
-    assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
-
-
-def test_parse_peak_memory_per_row_with_cr_line_breaks():
-    # "\r\n" ends each line: its "\r" stays on the line and is stripped,
-    # so the rows take the batch path and cost what "\n" rows do.
-    rows = 200_000
-    text = "timestamp_ms,rr_ms\r\n" + "".join(
-        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\r\n"
-        for i in range(rows))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rr = reject_artifacts(parse_rr_stream(text))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(rr) == rows - rows // 50
-    assert peak / rows <= 48, f"{peak / rows:.1f} bytes per row"
-
-
-def test_parse_and_filter_session_relative_rows_in_4_byte_timestamps():
     # Timestamps since session start take 4 bytes, so the parsed and the
     # filtered columns together cost 24 bytes per row where 8-byte ones
-    # cost 32; the rest is one batch of lines.
+    # cost 32; the rest is one batch of lines. A "\r\n" line keeps its
+    # "\r", which is stripped, so such rows take the batch path too.
     rows = 200_000
-    text = "timestamp_ms,rr_ms\n" + "".join(
-        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25\n"
+    text = f"timestamp_ms,rr_ms{newline}" + "".join(
+        f"{i * 800},{2500 if i % 50 == 49 else 800 + i % 7}.25{newline}"
         for i in range(rows))
     gc.collect()
     tracemalloc.start()
@@ -367,6 +335,28 @@ def test_parse_and_filter_session_relative_rows_in_4_byte_timestamps():
     assert len(rr) == rows - rows // 50
     assert rr.timestamps.format == "i"
     assert peak / rows <= 28, f"{peak / rows:.1f} bytes per row"
+
+
+@pytest.mark.parametrize("parse", [parse_rr_stream, parse_hr_stream])
+@pytest.mark.parametrize("header, first_ts", [
+    ("", _EPOCH), ("timestamp_ms,value\n", _EPOCH), ("", 2**31 - 100 * 800),
+], ids=["epoch", "epoch-after-header", "crossing-at-row-100"])
+def test_parse_wide_timestamps_peak_memory_per_row(parse, header, first_ts):
+    # The 8-byte columns cost 16 bytes per row. The 4-byte attempt's columns
+    # are freed before the stream is parsed again; kept, they would add 12.
+    rows = 200_000
+    text = header + "".join(f"{first_ts + i * 800},{70 + i % 7}.5\n"
+                            for i in range(rows))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        samples = parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == rows
+    assert samples.timestamps.format == "q"
+    assert peak / rows <= 18, f"{peak / rows:.1f} bytes per row"
 
 
 def test_parse_and_filter_build_no_per_sample_objects():
@@ -922,9 +912,9 @@ def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
     written = []
 
     def pack_into(fmt, buffer, offset, *items):
-        if fmt[-1] in "iq":
-            written.append(list(items))
         struct.pack_into(fmt, buffer, offset, *items)
+        if fmt[-1] in "iq":  # a write that fits: 4-byte ones may overflow
+            written.append(list(items))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", 20)

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -411,6 +412,18 @@ def test_summarize_counts_channels_and_states():
     assert summary["violations"] == 0
     assert summary["state_minutes"].get("elevated_stress_persistent", 0) > 0
     assert summary["interval_histogram"]  # at least one inter-release gap
+
+
+def test_summarize_counts_state_minutes_by_the_window_step():
+    # stride_s = 60.4996 s rounds to a 60,500 ms window step: each window's
+    # state holds for that step, not for 60.4996 s.
+    config = dataclasses.replace(CFG, ingest=IngestConfig(stride_s=60.4996))
+    _, log = _session(7, 120.0, [(40.0, 30.0, EpisodeKind.STRESS, 1.0)], config)
+    windows = Counter(r["state"] for r in log if r["kind"] == "interaction_state")
+    assert len(windows) > 1 and sum(windows.values()) > 100
+    assert summarize(log, config)["state_minutes"] == {
+        state: pytest.approx(count * 60500 / 60000, abs=1e-6)
+        for state, count in windows.items()}
 
 
 def test_summarize_detects_overlap_and_cooldown_violations():

@@ -15,16 +15,16 @@ in:
   validation included);
 - ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
-- ``ingest._parse_samples``, ``_widened``, ``_drop``, ``reject_artifacts``,
-  ``clean_hr``, ``compute_baseline``, ``window_features`` and
-  ``iter_window_features``.
+- ``ingest._parse_samples``, ``_drop``, ``reject_artifacts``, ``clean_hr``,
+  ``compute_baseline``, ``window_features`` and ``iter_window_features``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
 test files for the loop modules, ``test_ingest`` for ``ingest``); a
 mutant they do not kill runs against the whole suite. Both runs take
-the ``sweep`` hypothesis profile of ``tests/conftest.py``, which does not
-shrink a failing example. A mutant that no test kills is a survivor.
+the ``sweep`` hypothesis profile of ``tests/conftest.py``, which draws
+the same examples on every run and does not shrink a failing one, so two
+sweeps of one tree agree. A mutant that no test kills is a survivor.
 Mutants run in parallel, one scratch copy per CPU this process may use,
 at most four. The script prints every mutant's outcome in source order,
 then the survivors, each marked with its reason when it is a known
@@ -64,7 +64,7 @@ TARGETS = {
     "src/scentctl/simulate.py": (("replay", "_evaluate", "summarize"),
                                  LOOP_TESTS),
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
-    "src/scentctl/ingest.py": (("_parse_samples", "_widened", "_drop",
+    "src/scentctl/ingest.py": (("_parse_samples", "_drop",
                                 "reject_artifacts", "clean_hr",
                                 "compute_baseline", "window_features",
                                 "iter_window_features"),
@@ -114,10 +114,8 @@ EQUIVALENT = {
         "floor(floor(g / 1000) / 300) == floor(g / 300000)",
     ("_parse_samples", "stream.count('\\n') + 2"):
         "the columns get one spare row, which is cut off at the end",
-    ("_parse_samples", "array('i', [-1]) * size"): _FILL,
-    ("_parse_samples", "array('i', [1]) * size"): _FILL,
-    ("_widened", "array('q', [-1]) * len(timestamps)"): _FILL,
-    ("_widened", "array('q', [1]) * len(timestamps)"): _FILL,
+    ("_parse_samples", "array(typecode, [-1]) * size"): _FILL,
+    ("_parse_samples", "array(typecode, [1]) * size"): _FILL,
     ("iter_window_features", "iter(context or (ContextSample(-1, True, "
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("iter_window_features", "iter(context or (ContextSample(1, True, "
@@ -180,7 +178,6 @@ def _sites(tree: ast.Module, names: tuple[str, ...] | None):
 def _run_tests(copy: Path, files: tuple[str, ...]) -> tuple[bool, str]:
     """Run ``files`` in ``copy``; True when they all pass, else the
     first failure, or a timeout."""
-    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("SCENTCTL_CONFIG", None)
     argv = [sys.executable, "-c", _LIMITED_PYTEST, str(RUN_MEMORY_BYTES),
