@@ -107,11 +107,12 @@ def _clamp(x: float) -> float:
 
 def estimate_av(fw: FeatureWindow, cfg: EstimatorConfig = EstimatorConfig()) -> AVState:
     """Project one feature window onto the arousal–valence plane."""
-    if not all(math.isfinite(z) for z in (fw.z_hr, fw.z_rmssd, fw.z_sdnn)):
+    z_hr, z_rmssd, z_sdnn = fw.z_hr, fw.z_rmssd, fw.z_sdnn  # each derived once
+    if not all(math.isfinite(z) for z in (z_hr, z_rmssd, z_sdnn)):
         raise EstimationError("non-finite feature values")
-    arousal = _clamp(cfg.a1 * fw.z_hr - cfg.a2 * fw.z_rmssd)
-    valence = _clamp(cfg.v1 * fw.z_rmssd + cfg.v2 * fw.z_sdnn
-                     - cfg.v3 * max(0.0, fw.z_hr))
+    arousal = _clamp(cfg.a1 * z_hr - cfg.a2 * z_rmssd)
+    valence = _clamp(cfg.v1 * z_rmssd + cfg.v2 * z_sdnn
+                     - cfg.v3 * max(0.0, z_hr))
     return AVState(arousal, valence, fw.window_end)
 
 

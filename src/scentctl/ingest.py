@@ -2,8 +2,8 @@
 
 Raw inter-beat (RR) and heart-rate (HR) streams arrive as line-oriented
 CSV, are artifact-filtered, and are reduced to windowed time-domain
-features (RMSSD, SDNN, mean HR) expressed as baseline-normalized
-deviations, together with the contextual flags the classifier needs.
+features (RMSSD, SDNN, mean HR), each window carrying the baseline its
+deviations are read against and the contextual flags the classifier needs.
 
 All timestamps are integer milliseconds since session start. RR and HR
 are `Series` of two read-only typed columns with no object per sample:
@@ -170,15 +170,32 @@ class Baseline:
 
 @dataclass(frozen=True, slots=True)
 class FeatureWindow:
+    """One window's raw statistics and the baseline they are measured against.
+
+    The z-values derive from both on each read, so they cannot disagree
+    with the statistics, and swapping the baseline re-normalizes a window
+    without measuring it again.
+    """
+
     window_start: int
     window_end: int
     rmssd: float
     sdnn: float
     mean_hr: float
-    z_hr: float
-    z_rmssd: float
-    z_sdnn: float
+    baseline: Baseline
     context: ContextFlags
+
+    @property
+    def z_hr(self) -> float:
+        return (self.mean_hr - self.baseline.mean_hr) / self.baseline.hr_scale
+
+    @property
+    def z_rmssd(self) -> float:
+        return (self.rmssd - self.baseline.mean_rmssd) / self.baseline.rmssd_scale
+
+    @property
+    def z_sdnn(self) -> float:
+        return (self.sdnn - self.baseline.mean_sdnn) / self.baseline.sdnn_scale
 
 
 _TRUE_WORDS = {"1", "true", "yes"}
@@ -226,10 +243,12 @@ def _parse_samples(stream: str, schema: str,
     a `ContextSample` list. A header line is optional: the first non-blank
     line, when its first field is not a number. Lines end at ``"\n"`` alone,
     so the stream has at most ``stream.count("\n") + 1`` rows: each column is
-    sized to that once, and never grows. Timestamps go into a column of
-    ``typecode``: 4 bytes at first, and when a timestamp above 2**31 - 1
+    sized to that once, and never grows. RR/HR timestamps go into a column
+    of ``typecode``: 4 bytes at first, and when a timestamp above 2**31 - 1
     overflows it (for an epoch-millisecond stream, the first row), the
-    stream is parsed again into 8 bytes.
+    stream is parsed again into 8 bytes. A context row keeps its timestamp
+    in its `ContextSample`, so a context stream has no timestamp column
+    and is parsed once.
 
     Timestamps must be non-decreasing and fit in 64 bits; rows sharing a
     timestamp collapse to the last value. Raises StreamFormatError (with
@@ -241,7 +260,8 @@ def _parse_samples(stream: str, schema: str,
 
     # The columns never grow: peak memory does not depend on the allocator.
     size = stream.count("\n") + 1
-    timestamps = array(typecode, [0]) * size
+    if columns:
+        timestamps = array(typecode, [0]) * size
     # doubles, or ContextSample rows for ``context``
     values: array | list = array("d", [0.0]) * size if columns else [None] * size
     n = 0
@@ -320,7 +340,8 @@ def _parse_samples(stream: str, schema: str,
                 if ts == prev_ts:
                     values[n - 1] = value  # duplicate timestamp: last value wins
                 else:
-                    timestamps[n] = ts
+                    if columns:
+                        timestamps[n] = ts
                     values[n] = value
                     n += 1
                 prev_ts = ts
@@ -330,8 +351,11 @@ def _parse_samples(stream: str, schema: str,
 
     if not n:
         raise StreamFormatError("empty stream")
-    del timestamps[n:], values[n:]
-    return Series(_frozen(timestamps), _frozen(values)) if columns else values
+    del values[n:]
+    if not columns:
+        return values
+    del timestamps[n:]
+    return Series(_frozen(timestamps), _frozen(values))
 
 
 def parse_rr_stream(stream: str) -> Series:
@@ -364,14 +388,20 @@ def _drop(samples: Series, dropped: list[int]) -> Series:
     """``samples`` without the rows at the ascending indices ``dropped``."""
     if not dropped:
         return samples  # immutable, so sharing it is safe
-    kept = array(samples.timestamps.format), array("d")
-    for column, view in zip(kept, (samples.timestamps, samples.values)):
-        start = 0
+    # Each kept column is allocated once, at its final size, and the kept
+    # runs are copied into it: a column grown run by run would realloc.
+    kept = []
+    for view in (samples.timestamps, samples.values):
+        column = array(view.format, [0]) * (len(view) - len(dropped))
+        out = memoryview(column)
+        start = at = 0
         for i in dropped:
-            column.frombytes(view[start:i].cast("B"))
+            out[at:at + i - start] = view[start:i]
+            at += i - start
             start = i + 1
-        column.frombytes(view[start:].cast("B"))
-    return Series(*map(_frozen, kept))
+        out[at:] = view[start:]
+        kept.append(_frozen(column))
+    return Series(*kept)
 
 
 def reject_artifacts(samples: Series) -> Series:
@@ -484,15 +514,16 @@ def iter_window_features(
     window_len_s: float = DEFAULT_WINDOW_LEN_S,
     stride_s: float = DEFAULT_STRIDE_S,
 ) -> Iterator[FeatureWindow]:
-    """Slide a window over cleaned streams and yield normalized features.
+    """Slide a window over cleaned streams and yield each window's features,
+    measured against ``baseline``.
 
     One window is produced per stride step whose end lies within the
     trace; windows holding fewer than two RR samples are skipped, not an
     error, and the sweep jumps over strides that cannot hold two. Mean
     HR comes from the HR samples inside the window when any exist,
     otherwise it is derived from the window's mean RR interval. Windows
-    are made as they are consumed, so a bad window length or stride
-    raises ValueError at the first one.
+    are made as they are consumed, so a bad window length or stride (too
+    short, or not finite) raises ValueError at the first one.
 
     A window's context is the last row stamped at or before its end; rows
     before the first one inherit it. Continuous work minutes count from
@@ -502,6 +533,9 @@ def iter_window_features(
     run from time zero. Consecutive windows with equal flags share one
     `ContextFlags`: every window of an inactive run carries the same one.
     """
+    for name, value in (("window_len_s", window_len_s), ("stride_s", stride_s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if window_len_s < 60:
         raise ValueError("window_len_s must be at least 60 s")
     window_ms = round(window_len_s * 1000)
@@ -556,9 +590,7 @@ def iter_window_features(
             rmssd=rmssd,
             sdnn=sdnn,
             mean_hr=mean_hr,
-            z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
-            z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
-            z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
+            baseline=baseline,
             context=flags,
         )
         start += stride_ms

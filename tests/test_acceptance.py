@@ -22,7 +22,9 @@ import pytest
 from scentctl.cli import main
 from scentctl.config import Config
 from scentctl.estimator import AVState, InteractionState, estimate_av, smooth_av
-from scentctl.ingest import ContextFlags, FeatureWindow, compute_rmssd, compute_sdnn
+from scentctl.ingest import (
+    Baseline, ContextFlags, FeatureWindow, compute_rmssd, compute_sdnn,
+)
 from scentctl.irproto import COMMANDS, IRCodeTable, decode_frame, encode_frame
 from scentctl.scents import (
     PROFILE_MEMBERS,
@@ -242,12 +244,15 @@ def test_a05_estimator_bounded_over_fuzzed_features():
     """A million random feature vectors stay inside the unit square."""
     rng = random.Random(505)
     ctx = ContextFlags()
+    # Against the unit baseline, a window's z-values are its raw values - 1.
+    unit = Baseline.provisional()
     start = time.perf_counter()
     for _ in range(1_000_000):
-        fw = FeatureWindow(0, 60_000, 10.0, 5.0, 70.0,
-                           rng.uniform(-25.0, 25.0),
-                           rng.uniform(-25.0, 25.0),
-                           rng.uniform(-25.0, 25.0), ctx)
+        z_hr, z_rmssd, z_sdnn = (rng.uniform(-25.0, 25.0),
+                                 rng.uniform(-25.0, 25.0),
+                                 rng.uniform(-25.0, 25.0))
+        fw = FeatureWindow(0, 60_000, 1 + z_rmssd, 1 + z_sdnn, 1 + z_hr,
+                           unit, ctx)
         av = estimate_av(fw, CFG.estimator)
         assert -1.0 <= av.arousal <= 1.0
         assert -1.0 <= av.valence <= 1.0

@@ -19,16 +19,17 @@ from scentctl.estimator import (
     estimate_av,
     smooth_av,
 )
-from scentctl.ingest import ContextFlags, FeatureWindow
+from scentctl.ingest import Baseline, ContextFlags, FeatureWindow
 
 CFG = EstimatorConfig()
 
 
 def _fw(z_hr=0.0, z_rmssd=0.0, z_sdnn=0.0, end=60000, work_minutes=0.0):
+    # Against the unit baseline, a window's z-values are its raw values - 1.
     return FeatureWindow(
         window_start=end - 120000, window_end=end,
-        rmssd=40.0, sdnn=50.0, mean_hr=70.0,
-        z_hr=z_hr, z_rmssd=z_rmssd, z_sdnn=z_sdnn,
+        rmssd=1 + z_rmssd, sdnn=1 + z_sdnn, mean_hr=1 + z_hr,
+        baseline=Baseline.provisional(),
         context=ContextFlags(work_minutes_continuous=work_minutes))
 
 

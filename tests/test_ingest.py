@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import gc
 import io
 import math
 import random
 import struct
+import sys
 import tracemalloc
 from array import array
 from itertools import compress, pairwise
@@ -314,6 +316,24 @@ def test_parse_widens_timestamps_once_at_the_first_wide_row(text, first_wide):
         assert parse_rr_stream(text).timestamps.format == expected
 
 
+def test_parse_context_stream_once_with_epoch_timestamps():
+    # A context row keeps its timestamp in its ContextSample: no timestamp
+    # column can overflow, so an epoch-millisecond stream is parsed once.
+    text = "".join(f"{_EPOCH + 60_000 * i},{i % 2},sedentary\n" for i in range(5))
+    calls = []
+
+    def parse(stream, schema, typecode="i"):
+        calls.append((schema, typecode))
+        return _parse_samples(stream, schema, typecode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_samples", parse)
+        outcome = _parse_outcome(lambda text, _: parse_context_stream(text),
+                                 "context", text)
+    assert calls == [("context", "i")]
+    assert outcome == _parse_outcome(reference_parse_samples, "context", text)
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_parse_and_filter_session_relative_rows_in_4_byte_timestamps(newline):
     # 200k rows, one artifact in 50, so the filter copies its columns.
@@ -414,6 +434,36 @@ def test_filters_keep_their_input_timestamp_width(code):
     for out in (rr, hr):
         assert out.timestamps.format == code
         assert tuple(out.timestamps) == (0, 1600)
+
+
+@pytest.mark.parametrize("filter_, good, bad", [
+    (reject_artifacts, 800.0, 2500.0), (clean_hr, 70.0, 300.0),
+], ids=["rr", "hr"])
+def test_filters_allocate_kept_columns_once_at_their_final_size(filter_, good,
+                                                                 bad):
+    # 200k rows, one in 50 dropped. Each kept column is allocated once, at
+    # its final size, so it keeps no spare capacity, and the peak is the kept
+    # rows' 12 bytes each plus the list of dropped indices, about 37 bytes per
+    # dropped row. A column grown run by run keeps about 2.5 % spare
+    # capacity: 51 bytes per dropped row here.
+    rows = 200_000
+    samples = Series(
+        memoryview(array("i", range(0, rows * 800, 800))).toreadonly(),
+        memoryview(array("d", [bad if i % 50 == 49 else good + i % 7
+                               for i in range(rows)])).toreadonly())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = filter_(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == rows - rows // 50
+    for column in (kept.timestamps, kept.values):
+        empty = array(column.format)
+        assert sys.getsizeof(column.obj) == sys.getsizeof(empty) + column.nbytes
+    extra = (peak - kept.timestamps.nbytes - kept.values.nbytes) / (rows // 50)
+    assert extra <= 40, f"{extra:.1f} bytes per dropped row"
 
 
 def test_reject_all_rejected_yields_empty():
@@ -530,7 +580,7 @@ def test_zero_iff_constant():
 # -- baseline ---------------------------------------------------------------
 
 def _window(hr=70.0, rmssd=40.0, sdnn=50.0, start=0, end=120000):
-    return FeatureWindow(start, end, rmssd, sdnn, hr, 0.0, 0.0, 0.0,
+    return FeatureWindow(start, end, rmssd, sdnn, hr, Baseline.provisional(),
                          context=ContextFlags())
 
 
@@ -668,6 +718,40 @@ def test_window_len_floor_enforced():
                             Baseline.provisional(), window_len_s, 30)
     assert window_features(Series((), ()), Series((), ()), [],
                            Baseline.provisional(), 60, 30) == []
+
+
+@pytest.mark.parametrize("name", ["window_len_s", "stride_s"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_window_refuses_non_finite_length_and_stride(name, value):
+    args = {"window_len_s": 120.0, "stride_s": 60.0, name: value}
+    rr = _series((t, 800.0) for t in range(0, 300001, 800))
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        window_features(rr, Series((), ()), [], Baseline.provisional(), **args)
+
+
+def test_window_swaps_its_baseline_without_measuring_again(monkeypatch):
+    rr = _alternating_trace()
+    hr = _series((t, 74.5) for t in range(0, 6 * 60000, 1000))
+    windows = window_features(rr, hr, [], Baseline.provisional(), 120, 60)
+
+    def measured(rr):
+        raise AssertionError("an HRV kernel ran")
+
+    monkeypatch.setattr(ingest, "compute_rmssd", measured)
+    monkeypatch.setattr(ingest, "compute_sdnn", measured)
+    b = Baseline(72.0, 4.0, 3.0, 3.0, 5.0, 6.0)
+    for w in windows:
+        swapped = dataclasses.replace(w, baseline=b)
+        assert swapped.baseline is b
+        assert dataclasses.replace(swapped, baseline=w.baseline) == w
+        for field in ("window_start", "window_end", "rmssd", "sdnn",
+                      "mean_hr", "context"):
+            assert getattr(swapped, field) is getattr(w, field)
+        assert (swapped.z_hr, swapped.z_rmssd, swapped.z_sdnn) == (
+            (w.mean_hr - 72.0) / 3.0, (w.rmssd - 4.0) / 5.0, (w.sdnn - 3.0) / 6.0)
+        assert (swapped.z_hr, swapped.z_rmssd, swapped.z_sdnn) != (
+            w.z_hr, w.z_rmssd, w.z_sdnn)
 
 
 def test_window_features_all_finite_random():
@@ -1098,7 +1182,8 @@ def reference_window_features(
     baseline: Baseline,
     window_len_s: float = DEFAULT_WINDOW_LEN_S,
     stride_s: float = DEFAULT_STRIDE_S,
-) -> list[FeatureWindow]:
+) -> list[tuple[FeatureWindow, tuple[float, float, float]]]:
+    """Each window, with the z-values computed here from its statistics."""
     if window_len_s < 60:
         raise ValueError("window_len_s must be at least 60 s")
     if stride_s <= 0:
@@ -1116,7 +1201,7 @@ def reference_window_features(
     stride_ms = round(stride_s * 1000)
 
     flags_at = _ref_context_lookup(context)
-    windows: list[FeatureWindow] = []
+    windows: list[tuple[FeatureWindow, tuple[float, float, float]]] = []
     start = 0
     while start + window_ms <= trace_end:
         end = start + window_ms
@@ -1132,17 +1217,17 @@ def reference_window_features(
                 mean_hr = fmean(hr_v[j0:j1])
             else:
                 mean_hr = 60000.0 / fmean(seg)
-            windows.append(FeatureWindow(
+            windows.append((FeatureWindow(
                 window_start=start,
                 window_end=end,
                 rmssd=rmssd,
                 sdnn=sdnn,
                 mean_hr=mean_hr,
-                z_hr=(mean_hr - baseline.mean_hr) / baseline.hr_scale,
-                z_rmssd=(rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
-                z_sdnn=(sdnn - baseline.mean_sdnn) / baseline.sdnn_scale,
+                baseline=baseline,
                 context=flags_at(end),
-            ))
+            ), ((mean_hr - baseline.mean_hr) / baseline.hr_scale,
+                (rmssd - baseline.mean_rmssd) / baseline.rmssd_scale,
+                (sdnn - baseline.mean_sdnn) / baseline.sdnn_scale)))
         start += stride_ms
     return windows
 
@@ -1190,8 +1275,9 @@ def test_window_features_match_every_stride_reference(traces, window_len_s,
     # Window by window: pytest's diff of two whole reprs, thousands of
     # windows long at a 1 ms stride, takes minutes to explain a failure.
     assert len(windows) == len(expected)
-    for got, want in zip(windows, expected):
+    for got, (want, z) in zip(windows, expected):
         assert repr(got) == repr(want)
+        assert repr((got.z_hr, got.z_rmssd, got.z_sdnn)) == repr(z)
 
 
 # -- bit identity of the HRV kernels and the baseline ------------------------

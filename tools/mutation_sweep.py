@@ -16,7 +16,8 @@ in:
 - ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
 - ``ingest._parse_samples``, ``_drop``, ``reject_artifacts``, ``clean_hr``,
-  ``compute_baseline``, ``window_features`` and ``iter_window_features``.
+  ``compute_baseline``, ``window_features``, ``iter_window_features`` and
+  ``FeatureWindow``'s z-values, ``z_hr``, ``z_rmssd`` and ``z_sdnn``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
@@ -67,7 +68,8 @@ TARGETS = {
     "src/scentctl/ingest.py": (("_parse_samples", "_drop",
                                 "reject_artifacts", "clean_hr",
                                 "compute_baseline", "window_features",
-                                "iter_window_features"),
+                                "iter_window_features",
+                                "z_hr", "z_rmssd", "z_sdnn"),
                                ("tests/test_ingest.py",)),
 }
 # A test run that takes longer counts as a kill: a mutant can make a loop
@@ -102,6 +104,8 @@ ARITH_SWAPS = {ast.Add: (ast.Sub,), ast.Sub: (ast.Add,), ast.Mult: (ast.Div,),
 
 _FILL = ("the columns' fill value: each row kept is written over it, and "
          "the rows never written are cut off at the end")
+_KEPT_FILL = ("the kept column's fill value: every row of the column is "
+              "written over by a kept run")
 _STAND_IN = ("the stand-in context row's timestamp is never read: the first "
              "row's run starts at 0, and only later rows' timestamps are compared")
 # (function, mutated code as shown) -> why no test can tell it apart
@@ -116,6 +120,8 @@ EQUIVALENT = {
         "the columns get one spare row, which is cut off at the end",
     ("_parse_samples", "array(typecode, [-1]) * size"): _FILL,
     ("_parse_samples", "array(typecode, [1]) * size"): _FILL,
+    ("_drop", "array(view.format, [-1]) * (len(view) - len(dropped))"): _KEPT_FILL,
+    ("_drop", "array(view.format, [1]) * (len(view) - len(dropped))"): _KEPT_FILL,
     ("iter_window_features", "iter(context or (ContextSample(-1, True, "
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("iter_window_features", "iter(context or (ContextSample(1, True, "
