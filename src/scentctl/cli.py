@@ -168,13 +168,20 @@ def _parse_script(text: str) -> tuple[Episode, ...]:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _load(args)
+    def parsed(parse, path):
+        try:
+            return parse(_read_text(path))
+        except StreamFormatError as exc:  # name the file; keep `line`
+            exc.args = (f"{path}: {exc}",)
+            raise
+
     # No local keeps the parsed streams: CPython 3.11 and later move call
     # arguments into the callee's frame, so `replay` holds the only
     # reference and frees each raw column once it has the filtered copy.
     records = replay(
-        parse_rr_stream(_read_text(args.rr)),
-        parse_hr_stream(_read_text(args.hr)) if args.hr else Series((), ()),
-        parse_context_stream(_read_text(args.context)) if args.context else [],
+        parsed(parse_rr_stream, args.rr),
+        parsed(parse_hr_stream, args.hr) if args.hr else Series((), ()),
+        parsed(parse_context_stream, args.context) if args.context else [],
         config)
     out_dir = Path(args.out)
     summary = _write_outputs(out_dir, records, config)

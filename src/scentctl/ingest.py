@@ -5,11 +5,11 @@ CSV, are artifact-filtered, and are reduced to windowed time-domain
 features (RMSSD, SDNN, mean HR), each window carrying the baseline its
 deviations are read against and the contextual flags the classifier needs.
 
-All timestamps are integer milliseconds since session start. RR and HR
-are `Series` of two read-only typed columns with no object per sample:
-doubles, and timestamps in 4 bytes each when all of a stream's fit (up
-to 2**31 - 1 ms, 24.8 days), else parsed again into 8. Everything here
-is a pure function over immutable data, safe from any thread.
+All timestamps are integer milliseconds since session start, at most
+2**31 - 1 (24.8 days); parsing refuses a larger one at its line. RR and
+HR are `Series` of two read-only typed columns with no object per sample:
+timestamps in 4 bytes each, and doubles. Everything here is a pure
+function over immutable data, safe from any thread.
 
 Ingest is linear in its input. Parsing splits the input into batches of
 lines, which end at ``"\n"`` alone, about 4 KiB at a time. A batch of
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise, repeat
 from operator import lt
-from struct import error as StructError, pack_into
+from struct import pack_into
 from typing import Iterable, Iterator, Sequence, TextIO
 
 # Physiologically plausible inter-beat interval range, ms.
@@ -56,8 +56,8 @@ DEFAULT_WINDOW_LEN_S = 120.0
 DEFAULT_STRIDE_S = 60.0
 DEFAULT_CALIBRATION_MINUTES = 5.0
 
-# The largest timestamp an 8-byte `Series` timestamp column holds.
-_TS_MAX = 2**63 - 1
+# The largest timestamp, 24.8 days: what a 4-byte `Series` timestamp holds.
+_TS_MAX = 2**31 - 1
 # Parsing splits its input into batches of lines about this many characters
 # long: larger batches hold more per-row objects at once and measured slower.
 _CHUNK_CHARS = 1 << 12
@@ -91,27 +91,21 @@ class Series:
     """An RR (ms) or HR (bpm) stream as two equal-length columns.
 
     The columns are read-only memoryviews: timestamps, signed 32-bit
-    (format ``i``, 4 bytes) when they all fit and signed 64-bit (``q``)
-    otherwise, and doubles (``d``). A read-only ``i`` or ``q`` view is
-    kept at its width; any other sequence given is copied into a fresh
-    column, the narrower one when it fits. Slicing a column is
-    zero-copy, and writing to one raises TypeError. Columns of either
-    width holding equal values compare equal.
+    (format ``i``, 4 bytes), and doubles (``d``). A read-only view of
+    that format is kept; any other sequence given is copied into a fresh
+    column, and a timestamp that does not fit raises OverflowError.
+    Slicing a column is zero-copy, and writing to one raises TypeError.
     """
 
     timestamps: memoryview
     values: memoryview
 
     def __post_init__(self) -> None:
-        for name, codes in (("timestamps", ("i", "q")), ("values", ("d",))):
+        for name, code in (("timestamps", "i"), ("values", "d")):
             column = getattr(self, name)
             if not (isinstance(column, memoryview) and column.readonly
-                    and column.format in codes and column.c_contiguous):
-                try:
-                    column = array(codes[0], column)
-                except OverflowError:  # a timestamp needs 8 bytes
-                    column = array(codes[-1], column)
-                object.__setattr__(self, name, _frozen(column))
+                    and column.format == code and column.c_contiguous):
+                object.__setattr__(self, name, _frozen(array(code, column)))
         if len(self.timestamps) != len(self.values):
             raise ValueError("timestamps and values differ in length")
 
@@ -234,8 +228,7 @@ def _batches(text: str) -> Iterator[list[str]]:
         pos = cut + 1
 
 
-def _parse_samples(stream: str, schema: str,
-                   typecode: str = "i") -> Series | list[ContextSample]:
+def _parse_samples(stream: str, schema: str) -> Series | list[ContextSample]:
     """Parse a line-oriented CSV sample stream.
 
     Schemas: ``rr`` (`timestamp_ms,rr_ms`) and ``hr`` (`timestamp_ms,hr_bpm`)
@@ -243,17 +236,14 @@ def _parse_samples(stream: str, schema: str,
     a `ContextSample` list. A header line is optional: the first non-blank
     line, when its first field is not a number. Lines end at ``"\n"`` alone,
     so the stream has at most ``stream.count("\n") + 1`` rows: each column is
-    sized to that once, and never grows. RR/HR timestamps go into a column
-    of ``typecode``: 4 bytes at first, and when a timestamp above 2**31 - 1
-    overflows it (for an epoch-millisecond stream, the first row), the
-    stream is parsed again into 8 bytes. A context row keeps its timestamp
-    in its `ContextSample`, so a context stream has no timestamp column
-    and is parsed once.
+    sized to that once, and never grows.
 
-    Timestamps must be non-decreasing and fit in 64 bits; rows sharing a
-    timestamp collapse to the last value. Raises StreamFormatError (with
-    the offending line number) on malformed rows or decreasing or
-    out-of-range timestamps, and on an empty stream.
+    Timestamps are milliseconds since session start: non-decreasing, and
+    at most 2**31 - 1 (24.8 days), so RR/HR timestamps take 4 bytes each.
+    Rows sharing a timestamp collapse to the last value. Raises
+    StreamFormatError (with the offending line number) on malformed rows,
+    on decreasing or out-of-range timestamps (an epoch-millisecond stream
+    is refused at its first row), and on an empty stream.
     """
     columns = schema != "context"
     n_fields = 2 if columns else 3
@@ -261,93 +251,90 @@ def _parse_samples(stream: str, schema: str,
     # The columns never grow: peak memory does not depend on the allocator.
     size = stream.count("\n") + 1
     if columns:
-        timestamps = array(typecode, [0]) * size
+        timestamps = array("i", [0]) * size
     # doubles, or ContextSample rows for ``context``
     values: array | list = array("d", [0.0]) * size if columns else [None] * size
     n = 0
     prev_ts = -1  # below every valid timestamp
     line_no = 0
     first = True
-    try:
-        for batch in _batches(stream):
-            if columns:
-                # The common batch: every row two numbers, timestamps in
-                # range and rising strictly from the last one kept, values
-                # positive (which refuses NaN as ``value > 0`` does). It is
-                # converted and written in C; any other batch is checked row
-                # by row. int() and float() strip the same whitespace as
-                # str.strip(), so each row gives the checked sample.
-                try:
-                    heads, _, tails = zip(*map(str.partition, batch, repeat(",")))
-                    ts, vs = list(map(int, heads)), list(map(float, tails))
-                except ValueError:
-                    pass
-                else:
-                    if (prev_ts < ts[0] and ts[-1] <= _TS_MAX
-                            and all(map(lt, ts, ts[1:]))
-                            and all(map(lt, repeat(0.0), vs))):
-                        pack_into(f"{len(ts)}{typecode}", timestamps,
-                                  timestamps.itemsize * n, *ts)
-                        pack_into(f"{len(vs)}d", values, 8 * n, *vs)
-                        n += len(ts)
-                        prev_ts = ts[-1]
-                        line_no += len(batch)
-                        first = False
-                        continue
-            for raw in batch:
-                line_no += 1
-                line = raw.strip()
-                if not line:
-                    continue
-                fields = [f.strip() for f in line.split(",")]
-                if first:
+    for batch in _batches(stream):
+        if columns:
+            # The common batch: every row two numbers, timestamps in
+            # range and rising strictly from the last one kept, values
+            # positive (which refuses NaN as ``value > 0`` does). It is
+            # converted and written in C; any other batch is checked row
+            # by row. int() and float() strip the same whitespace as
+            # str.strip(), so each row gives the checked sample.
+            try:
+                heads, _, tails = zip(*map(str.partition, batch, repeat(",")))
+                ts, vs = list(map(int, heads)), list(map(float, tails))
+            except ValueError:
+                pass
+            else:
+                if (prev_ts < ts[0] and ts[-1] <= _TS_MAX
+                        and all(map(lt, ts, ts[1:]))
+                        and all(map(lt, repeat(0.0), vs))):
+                    pack_into(f"{len(ts)}i", timestamps, 4 * n, *ts)
+                    pack_into(f"{len(vs)}d", values, 8 * n, *vs)
+                    n += len(ts)
+                    prev_ts = ts[-1]
+                    line_no += len(batch)
                     first = False
-                    if not _looks_numeric(fields[0]):
-                        continue  # header line: only the first may be one
-                if len(fields) != n_fields:
-                    raise StreamFormatError(
-                        f"expected {n_fields} fields, got {len(fields)}", line_no)
+                    continue
+        for raw in batch:
+            line_no += 1
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if first:
+                first = False
+                if not _looks_numeric(fields[0]):
+                    continue  # header line: only the first may be one
+            if len(fields) != n_fields:
+                raise StreamFormatError(
+                    f"expected {n_fields} fields, got {len(fields)}", line_no)
+            try:
+                ts = int(fields[0])
+            except ValueError:
+                raise StreamFormatError(
+                    f"bad timestamp {fields[0]!r}", line_no) from None
+            if ts < 0:
+                raise StreamFormatError("negative timestamp", line_no)
+            if ts > _TS_MAX:
+                raise StreamFormatError(
+                    f"timestamp {ts} out of range: timestamps are milliseconds "
+                    f"since session start, at most 24.8 days", line_no)
+
+            if columns:
                 try:
-                    ts = int(fields[0])
+                    value = float(fields[1])
                 except ValueError:
                     raise StreamFormatError(
-                        f"bad timestamp {fields[0]!r}", line_no) from None
-                if ts < 0:
-                    raise StreamFormatError("negative timestamp", line_no)
-                if ts > _TS_MAX:
-                    raise StreamFormatError(f"timestamp {ts} out of range", line_no)
-
-                if columns:
-                    try:
-                        value = float(fields[1])
-                    except ValueError:
-                        raise StreamFormatError(
-                            f"bad {schema} value {fields[1]!r}", line_no) from None
-                    if not value > 0:
-                        raise StreamFormatError(f"{schema} must be positive", line_no)
-                else:
-                    active = _parse_bool(fields[1], line_no)
-                    try:
-                        activity = ActivityState(fields[2].lower())
-                    except ValueError:
-                        raise StreamFormatError(
-                            f"bad activity state {fields[2]!r}", line_no) from None
-                    value = ContextSample(ts, active, activity)
-
-                if ts < prev_ts:
+                        f"bad {schema} value {fields[1]!r}", line_no) from None
+                if not value > 0:
+                    raise StreamFormatError(f"{schema} must be positive", line_no)
+            else:
+                active = _parse_bool(fields[1], line_no)
+                try:
+                    activity = ActivityState(fields[2].lower())
+                except ValueError:
                     raise StreamFormatError(
-                        f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
-                if ts == prev_ts:
-                    values[n - 1] = value  # duplicate timestamp: last value wins
-                else:
-                    if columns:
-                        timestamps[n] = ts
-                    values[n] = value
-                    n += 1
-                prev_ts = ts
-    except (OverflowError, StructError):  # a timestamp needs 8 bytes
-        del timestamps, values
-        return _parse_samples(stream, schema, "q")
+                        f"bad activity state {fields[2]!r}", line_no) from None
+                value = ContextSample(ts, active, activity)
+
+            if ts < prev_ts:
+                raise StreamFormatError(
+                    f"non-monotonic timestamp {ts} after {prev_ts}", line_no)
+            if ts == prev_ts:
+                values[n - 1] = value  # duplicate timestamp: last value wins
+            else:
+                if columns:
+                    timestamps[n] = ts
+                values[n] = value
+                n += 1
+            prev_ts = ts
 
     if not n:
         raise StreamFormatError("empty stream")

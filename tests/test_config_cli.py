@@ -735,39 +735,50 @@ def test_cli_replay_rr_only(tmp_path, capsys):
     assert summary["violations"] == 0
 
 
+_EPOCH_MS = 1_760_000_000_000
+_SINCE_START = "timestamps are milliseconds since session start, at most 24.8 days"
+
+
 def test_cli_replay_epoch_ms_trace_exits_2_quickly(tmp_path):
-    # 20 minutes of beats stamped in epoch milliseconds, not session time
-    epoch = 1_760_000_000_000
+    # 20 minutes of beats, or of HR or context rows, stamped in epoch
+    # milliseconds, not session time: each stream is refused at parse, by
+    # its file and line, beside session-relative RR beats.
     rr = _write(tmp_path, "rr.csv", "".join(
-        f"{epoch + i * 800},800\n" for i in range(1, 1501)))
-    proc = _cli_subprocess(["replay", "--rr", rr, "--out", str(tmp_path / "x")],
-                           timeout=20)
-    assert proc.returncode == 2, proc.stderr
-    assert f"first kept RR beat is at {epoch + 800} ms" in proc.stderr
-    assert "milliseconds since session start" in proc.stderr
+        f"{i * 800},{800 + 10 * (i % 2)}\n" for i in range(1500)))
+    epoch_rr = _write(tmp_path, "epoch-rr.csv", "".join(
+        f"{_EPOCH_MS + i * 800},800\n" for i in range(1500)))
+    epoch_hr = _write(tmp_path, "epoch-hr.csv", "timestamp_ms,hr_bpm\n" + "".join(
+        f"{_EPOCH_MS + i * 1000},75\n" for i in range(1200)))
+    epoch_context = _write(
+        tmp_path, "epoch-context.csv",
+        "\ntimestamp_ms,session_active,activity_state\n" + "".join(
+            f"{_EPOCH_MS + i * 60000},1,sedentary\n" for i in range(20)))
+    out = tmp_path / "x"
+    for args, path, line in [(["--rr", epoch_rr], epoch_rr, 1),
+                             (["--rr", rr, "--hr", epoch_hr], epoch_hr, 2),
+                             (["--rr", rr, "--context", epoch_context],
+                              epoch_context, 3)]:
+        proc = _cli_subprocess(["replay", *args, "--out", str(out)], timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"input error: {path}: line {line}: timestamp "
+                               f"{_EPOCH_MS} out of range: {_SINCE_START}\n")
+    assert not out.exists()
 
 
 def test_cli_replay_epoch_ms_hr_trace_finishes(tmp_path):
-    # session-relative RR and context, HR stamped in epoch milliseconds
+    # session-relative RR and context, HR stamped in epoch milliseconds:
+    # refused at parse, not replayed with RR-derived HR in every window
     _, out = _synth(tmp_path, "source")
-    shifted = "".join(
-        f"{int(ts) + 1_760_000_000_000},{bpm}\n" for ts, bpm in
+    shifted = "timestamp_ms,hr_bpm\n" + "".join(
+        f"{int(ts) + _EPOCH_MS},{bpm}\n" for ts, bpm in
         (line.split(",") for line in (out / "hr.csv").read_text().splitlines()[1:]))
     hr = _write(tmp_path, "hr.csv", shifted)
-    common = ["replay", "--rr", str(out / "rr.csv"),
-              "--context", str(out / "context.csv")]
-    proc = _cli_subprocess([*common, "--hr", hr, "--out", str(tmp_path / "x")],
-                           timeout=20)
-    assert proc.returncode == 0, proc.stderr
-    # No HR sample lies in any window, so every window derives HR from RR,
-    # as without --hr; the later HR end only adds windows past the last beat.
-    assert main([*common, "--out", str(tmp_path / "rr_only")]) == 0
-    with_hr = (tmp_path / "x" / "events.ndjson").read_text().splitlines()
-    rr_only = (tmp_path / "rr_only" / "events.ndjson").read_text().splitlines()
-    assert with_hr[:len(rr_only)] == rr_only
-    last_beat = int((out / "rr.csv").read_text().split()[-1].split(",")[0])
-    assert all(json.loads(line)["t"] > last_beat
-               for line in with_hr[len(rr_only):])
+    proc = _cli_subprocess(["replay", "--rr", str(out / "rr.csv"),
+                            "--context", str(out / "context.csv"), "--hr", hr,
+                            "--out", str(tmp_path / "x")], timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert f"input error: {hr}: line 2: timestamp {_EPOCH_MS}" in proc.stderr
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_replay_late_first_beat_exits_2_without_output(tmp_path, capsys):

@@ -109,24 +109,28 @@ def test_series_from_tuples_equals_parsed_series():
 
 def test_series_timestamps_take_4_bytes_when_they_all_fit():
     top = 2**31 - 1
-    for ts, code in (((0, 800), "i"), ((-top - 1, top), "i"),
-                     ((0, top + 1), "q"), ((-top - 2, 0), "q")):
+    for ts in ((0, 800), (-top - 1, top)):
         series = Series(ts, (800.0, 810.0))
-        assert series.timestamps.format == code, ts
+        assert series.timestamps.format == "i", ts
         assert tuple(series.timestamps) == ts
-    # a writable view is copied, at the width its values need
-    assert Series(memoryview(array("q", (0, 800))),
+    for ts in ((0, top + 1), (-top - 2, 0)):
+        with pytest.raises(OverflowError):
+            Series(ts, (800.0, 810.0))
+    # a view of another format is copied into 4 bytes
+    assert Series(memoryview(array("q", (0, 800))).toreadonly(),
                   (800.0, 810.0)).timestamps.format == "i"
 
 
 def test_series_keeps_a_read_only_view_of_either_width():
-    series = {}
-    for code in "iq":
-        view = memoryview(array(code, (0, 800))).toreadonly()
-        series[code] = Series(view, (800.0, 810.0))
-        assert series[code].timestamps is view
-    assert series["i"] == series["q"] and series["q"] == series["i"]
-    assert series["q"] != Series((0, 801), (800.0, 810.0))
+    # Read-only views of the two column formats, the 4-byte timestamps
+    # and the 8-byte values, are kept as given; a writable one is copied.
+    ts = memoryview(array("i", (0, 800))).toreadonly()
+    vs = memoryview(array("d", (800.0, 810.0))).toreadonly()
+    series = Series(ts, vs)
+    assert series.timestamps is ts and series.values is vs
+    copied = Series(memoryview(array("i", (0, 800))), vs)
+    assert copied.timestamps.readonly and copied == series
+    assert series != Series((0, 801), (800.0, 810.0))
 
 
 # -- parsing ----------------------------------------------------------------
@@ -247,90 +251,104 @@ def test_csv_writers_round_trip():
     assert parse_context_stream(text) == ctx
 
 
-def test_parse_timestamp_bounded_by_64_bits():
-    top = 2**63 - 1
-    assert parse_rr_stream(f"{top},800") == Series((top,), (800.0,))
-    assert parse_context_stream(f"{top},1,active") == [
-        ContextSample(top, True, ActivityState.ACTIVE)]
-    for text in (f"0,800\n{top + 1},800", f"0,800\n {top + 1} ,800"):
-        with pytest.raises(StreamFormatError) as info:
-            parse_rr_stream(text)
-        assert info.value.line == 2
-        assert str(info.value) == f"line 2: timestamp {top + 1} out of range"
+_OUT_OF_RANGE = ("out of range: timestamps are milliseconds since session "
+                 "start, at most 24.8 days")
+
+
+@pytest.mark.parametrize("schema, value", [
+    ("rr", "800"), ("hr", "72.5"), ("context", "1,active"),
+], ids=["rr", "hr", "context"])
+def test_parse_timestamp_bounded_by_31_bits(schema, value):
+    top = 2**31 - 1
+    # a header sends its batch row by row; without one, rr and hr take the
+    # batch path
+    for header in ("", "timestamp_ms,value\n"):
+        parsed = _parse_samples(f"{header}0,{value}\n{top},{value}\n", schema)
+        stamps = ([row.timestamp for row in parsed] if schema == "context"
+                  else list(parsed.timestamps))
+        assert stamps == [0, top]
+        for pad in ("", " "):
+            text = f"{header}0,{value}\n{pad}{top + 1}{pad},{value}\n"
+            line = 2 + bool(header)
+            with pytest.raises(StreamFormatError) as info:
+                _parse_samples(text, schema)
+            assert info.value.line == line
+            assert str(info.value) == (
+                f"line {line}: timestamp {top + 1} {_OUT_OF_RANGE}")
 
 
 @pytest.mark.parametrize("parse", [parse_rr_stream, parse_hr_stream])
 def test_parse_timestamps_into_4_bytes_while_they_fit(parse):
-    top = 2**31 - 1
-    narrow = parse(f"timestamp_ms,value\n0,80\n{top},80\n")
+    narrow = parse(f"timestamp_ms,value\n0,80\n{2**31 - 1},80\n")
     assert (narrow.timestamps.format, narrow.timestamps.itemsize) == ("i", 4)
-    wide = parse(f"0,80\n{top + 1},80\n")
-    assert (wide.timestamps.format, wide.timestamps.itemsize) == ("q", 8)
-    assert tuple(wide.timestamps) == (0, top + 1)
+    assert tuple(narrow.timestamps) == (0, 2**31 - 1)
 
 
-# (text, the index of its first kept row above 2**31 - 1, or None).
-# Wherever the text is cut into batches, writing that row ends the 4-byte
-# parse, and the text is parsed once more, into 8 bytes; without such a
-# row it is parsed once.
+# (text, the line of its first row above 2**31 - 1 that the parse reaches,
+# or None). Wherever the text is cut into batches, the parse runs once and
+# refuses that row, as the reference does.
 _EPOCH = 1_700_000_000_000
 _WIDENING = [
-    pytest.param("".join(f"{_EPOCH + 800 * i},{800 + i}\n" for i in range(6)), 0,
+    pytest.param("".join(f"{_EPOCH + 800 * i},{800 + i}\n" for i in range(6)), 1,
                  id="epoch"),
-    pytest.param(f"ts,rr\n{_EPOCH},800\n{_EPOCH},790\n{_EPOCH + 800},810\n", 0,
+    pytest.param(f"ts,rr\n{_EPOCH},800\n{_EPOCH},790\n{_EPOCH + 800},810\n", 2,
                  id="epoch-after-header"),
     pytest.param(f"0,800\n800,810\n{2**31 - 1},805\n{2**31},800\n{2**31 + 800},810\n",
-                 3, id="crossing"),
+                 4, id="crossing"),
     pytest.param(f"0,800\n{2**31 - 1},805\n{2**31},800\n{2**31},790\n{2**31 + 9},7\n",
-                 2, id="crossing-then-duplicate"),
-    pytest.param(f"0,800\n{2**31 - 1},805\n{2**31 - 1},790\n{2**31},800\n", 2,
+                 3, id="crossing-then-duplicate"),
+    pytest.param(f"0,800\n{2**31 - 1},805\n{2**31 - 1},790\n{2**31},800\n", 4,
                  id="duplicate-then-crossing"),
-    pytest.param(f"0,800\n{2**31},800\nts,rr\n", 1, id="crossing-then-header-like"),
-    pytest.param(f"0,800\n{2**31},800\n{2**31 - 1},800\n", 1,
+    pytest.param(f"0,800\n{2**31},800\nts,rr\n", 2, id="crossing-then-header-like"),
+    pytest.param(f"0,800\n{2**31},800\n{2**31 - 1},800\n", 2,
                  id="crossing-then-decrease"),
+    # the header-like row is refused first
     pytest.param(f"0,800\nts,rr\n{2**31},800\n", None, id="header-like-then-wide"),
     pytest.param(f"0,800\n{2**31 - 1},805\n{2**31 - 1},790\n", None,
                  id="duplicate-at-the-top"),
 ]
 
 
-@pytest.mark.parametrize("text, first_wide", _WIDENING)
-def test_parse_widens_timestamps_once_at_the_first_wide_row(text, first_wide):
+@pytest.mark.parametrize("text, wide_line", _WIDENING)
+def test_parse_widens_timestamps_once_at_the_first_wide_row(text, wide_line):
+    # A wide row is one whose timestamp would need a column wider than
+    # 4 bytes; the parse refuses it instead of widening.
     reference = _parse_outcome(reference_parse_samples, "rr", text)
+    refused = isinstance(reference, tuple) and _OUT_OF_RANGE in reference[0]
+    assert refused == (wide_line is not None)
+    if refused:
+        assert reference[1] == wide_line
     calls = []
 
-    def parse(stream, schema, typecode="i"):
-        calls.append(typecode)
-        return _parse_samples(stream, schema, typecode)
+    def parse(stream, schema):
+        calls.append(schema)
+        return _parse_samples(stream, schema)
 
-    expected_calls = ["i"] if first_wide is None else ["i", "q"]
     for chunk_chars in range(1, len(text) + 2):
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
             patch.setattr(ingest, "_parse_samples", parse)
             assert _parse_outcome(ingest._parse_samples, "rr", text) == reference
-        assert calls == expected_calls, chunk_chars
-    if isinstance(reference, str):  # parsed: the width follows the values
-        expected = "i" if first_wide is None else "q"
-        assert parse_rr_stream(text).timestamps.format == expected
+        assert calls == ["rr"], chunk_chars
 
 
 def test_parse_context_stream_once_with_epoch_timestamps():
-    # A context row keeps its timestamp in its ContextSample: no timestamp
-    # column can overflow, so an epoch-millisecond stream is parsed once.
+    # Context timestamps obey the RR/HR bound: an epoch-millisecond
+    # stream is refused at its first row, in one parse.
     text = "".join(f"{_EPOCH + 60_000 * i},{i % 2},sedentary\n" for i in range(5))
     calls = []
 
-    def parse(stream, schema, typecode="i"):
-        calls.append((schema, typecode))
-        return _parse_samples(stream, schema, typecode)
+    def parse(stream, schema):
+        calls.append(schema)
+        return _parse_samples(stream, schema)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_parse_samples", parse)
         outcome = _parse_outcome(lambda text, _: parse_context_stream(text),
                                  "context", text)
-    assert calls == [("context", "i")]
+    assert calls == ["context"]
+    assert outcome == (f"line 1: timestamp {_EPOCH} {_OUT_OF_RANGE}", 1)
     assert outcome == _parse_outcome(reference_parse_samples, "context", text)
 
 
@@ -362,21 +380,23 @@ def test_parse_and_filter_session_relative_rows_in_4_byte_timestamps(newline):
     ("", _EPOCH), ("timestamp_ms,value\n", _EPOCH), ("", 2**31 - 100 * 800),
 ], ids=["epoch", "epoch-after-header", "crossing-at-row-100"])
 def test_parse_wide_timestamps_peak_memory_per_row(parse, header, first_ts):
-    # The 8-byte columns cost 16 bytes per row. The 4-byte attempt's columns
-    # are freed before the stream is parsed again; kept, they would add 12.
+    # A stream is refused at its first timestamp above 2**31 - 1. Until
+    # then it costs its 4-byte timestamp and 8-byte value columns, 12 bytes
+    # per row; parsing it again into 8-byte timestamps would peak at 16.
     rows = 200_000
     text = header + "".join(f"{first_ts + i * 800},{70 + i % 7}.5\n"
                             for i in range(rows))
+    first_wide = max(0, -(-(2**31 - first_ts) // 800))  # its row index
     gc.collect()
     tracemalloc.start()
     try:
-        samples = parse(text)
+        with pytest.raises(StreamFormatError) as info:
+            parse(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(samples) == rows
-    assert samples.timestamps.format == "q"
-    assert peak / rows <= 18, f"{peak / rows:.1f} bytes per row"
+    assert info.value.line == first_wide + 1 + bool(header)
+    assert peak / rows <= 13, f"{peak / rows:.1f} bytes per row"
 
 
 def test_parse_and_filter_build_no_per_sample_objects():
@@ -428,11 +448,13 @@ def test_filters_share_clean_input():
 
 @pytest.mark.parametrize("code", ["i", "q"])
 def test_filters_keep_their_input_timestamp_width(code):
+    # A Series holds its timestamps in 4 bytes whatever view it was given,
+    # and a filtered copy keeps them there.
     ts = memoryview(array(code, (0, 800, 1600))).toreadonly()
     rr = reject_artifacts(Series(ts, (800.0, 2500.0, 810.0)))
     hr = clean_hr(Series(ts, (72.0, 300.0, 71.0)))
     for out in (rr, hr):
-        assert out.timestamps.format == code
+        assert out.timestamps.format == "i"
         assert tuple(out.timestamps) == (0, 1600)
 
 
@@ -829,6 +851,10 @@ def reference_parse_samples(stream: str, schema: str = "rr") -> list:
                 f"bad timestamp {fields[0]!r}", line_no) from None
         if ts < 0:
             raise StreamFormatError("negative timestamp", line_no)
+        if ts > 2**31 - 1:
+            raise StreamFormatError(
+                f"timestamp {ts} out of range: timestamps are milliseconds "
+                f"since session start, at most 24.8 days", line_no)
 
         if schema != "context":
             try:
@@ -910,7 +936,9 @@ def _streams(draw):
 
     lines = [draw(st.sampled_from(["timestamp_ms,value", " ts , value "]))
              for _ in range(draw(st.integers(0, 1)))]
-    ts = draw(st.integers(0, 3))
+    # Some streams start a few beats below the largest timestamp, so they
+    # cross it, on the batch path and on the row-by-row one.
+    ts = draw(st.integers(0, 3)) + draw(st.sampled_from([0, 0, 0, 2**31 - 4000]))
     for _ in range(draw(st.integers(0, 25))):
         kind = pick(["row"] * 6 + ["blank"], ["header", "odd"])
         if kind == "header":
@@ -946,6 +974,8 @@ def _parse_outcome(parse, schema, text):
 @example(("rr", "0,800\n0,810\n800,0"))
 @example(("hr", "timestamp_ms,hr_bpm\r\n\r\n 5 ,\u3000 72.5\x1f\r\n6,nan"))
 @example(("context", "0,1,sedentary\n0,0,active\n-1,1,active"))
+@example(("rr", f"0,800\n{2**31 - 1},800\n{2**31},800"))
+@example(("context", f"ts,a,b\n{2**31 - 1},1,active\n{2**31},0,active"))
 @given(_streams())
 def test_parse_matches_line_by_line_reference(case):
     schema, text = case
@@ -954,6 +984,7 @@ def test_parse_matches_line_by_line_reference(case):
 
 
 @settings(max_examples=200)
+@example(("hr", f"{2**31 - 801},72\n{2**31 - 1},72\n{2**31},72\n"), 12)
 @given(_streams(), st.integers(1, 64))
 def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
     schema, text = case
@@ -988,7 +1019,7 @@ def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
       ["4100,800", "5000,800", "5800,810"]],
      [[1000, 1800, 2600]]),
     ([["0,800", "0,790", "800,805"]], []),
-    ([["0,800", f"{2**63 - 1},800"]], [[0, 2**63 - 1]]),
+    ([["0,800", f"{2**31 - 1},800"]], [[0, 2**31 - 1]]),
 ], ids=["blank-row", "duplicates", "header-like-row", "decrease-after-row-loop",
         "duplicate-at-zero", "largest-timestamp"])
 def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
@@ -997,7 +1028,7 @@ def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
 
     def pack_into(fmt, buffer, offset, *items):
         struct.pack_into(fmt, buffer, offset, *items)
-        if fmt[-1] in "iq":  # a write that fits: 4-byte ones may overflow
+        if fmt[-1] == "i":
             written.append(list(items))
 
     with pytest.MonkeyPatch.context() as patch:

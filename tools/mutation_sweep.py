@@ -9,11 +9,12 @@ Makes one change at a time:
   (``+``/``-``, ``*``/``/``, ``//``/``/``);
 - moves an integer constant by -1 or +1;
 
-in:
+in (a function named here with the functions nested in it):
 
 - every function of ``scentctl/scheduler.py`` (``SchedulerConfig``'s
   validation included);
-- ``simulate.replay``, ``simulate._evaluate`` and ``simulate.summarize``;
+- ``simulate.replay`` (its calibration cut ``head`` included),
+  ``simulate._evaluate`` and ``simulate.summarize``;
 - ``estimator.classify``;
 - ``ingest._parse_samples``, ``_drop``, ``reject_artifacts``, ``clean_hr``,
   ``compute_baseline``, ``window_features``, ``iter_window_features`` and
@@ -118,19 +119,25 @@ EQUIVALENT = {
         "floor(floor(g / 1000) / 300) == floor(g / 300000)",
     ("_parse_samples", "stream.count('\\n') + 2"):
         "the columns get one spare row, which is cut off at the end",
-    ("_parse_samples", "array(typecode, [-1]) * size"): _FILL,
-    ("_parse_samples", "array(typecode, [1]) * size"): _FILL,
+    ("_parse_samples", "array('i', [-1]) * size"): _FILL,
+    ("_parse_samples", "array('i', [1]) * size"): _FILL,
     ("_drop", "array(view.format, [-1]) * (len(view) - len(dropped))"): _KEPT_FILL,
     ("_drop", "array(view.format, [1]) * (len(view) - len(dropped))"): _KEPT_FILL,
     ("iter_window_features", "iter(context or (ContextSample(-1, True, "
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("iter_window_features", "iter(context or (ContextSample(1, True, "
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
+    ("head", "bisect.bisect_left(series.timestamps, calib_ms) + 2"):
+        "one more row after calib_ms is never read: no calibration window "
+        "reads a row at or after calib_ms, and the first such row already "
+        "decides whether the window ending at calib_ms exists",
 }
 
 
 def _sites(tree: ast.Module, names: tuple[str, ...] | None):
-    """(function name, shown node, mutate) in source order. ``mutate()``
+    """(function name, shown node, mutate) in source order: the sites of
+    the functions ``names`` holds and of the functions nested in them, each
+    shown under its innermost function's name. ``mutate()``
     makes one change and returns the call that undoes it. The shown node
     is the changed comparison, arithmetic expression or augmented
     assignment; for a comparison passed as a function or a constant it is
@@ -152,12 +159,13 @@ def _sites(tree: ast.Module, names: tuple[str, ...] | None):
             return lambda: node.ops.__setitem__(i, original)
         return mutate
 
-    def visit(node, func, top, statement):
+    def visit(node, func, top, statement, chosen):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
+            chosen = chosen or func in names
         if isinstance(node, ast.stmt):
             statement = node
-        if names is None or func in names:
+        if chosen:
             if isinstance(node, ast.Compare):
                 sites.extend((func, node, swap_op(node, i))
                              for i, op in enumerate(node.ops)
@@ -175,9 +183,10 @@ def _sites(tree: ast.Module, names: tuple[str, ...] | None):
         for child in ast.iter_child_nodes(node):
             statement_part = (isinstance(node, ast.stmt)
                               and isinstance(child, ast.expr))
-            visit(child, func, child if statement_part else top, statement)
+            visit(child, func, child if statement_part else top, statement,
+                  chosen)
 
-    visit(tree, None, None, None)
+    visit(tree, None, None, None, names is None)
     return sites
 
 
