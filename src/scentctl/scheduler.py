@@ -17,8 +17,8 @@ Repeat mechanics: `request` arms the repeat of the release it admits.
 A repeating rhythm whose causing state still holds leaves one pending
 repeat due at the release end plus the minimum interval; any other
 admitted release leaves none. `tick` advances the clock and returns the
-repeat once it is due; the control loop then decides whether it fires
-(a repeated-low-frequency repeat fires at any non-neutral instant, a
+repeat once it is due; the loop's `simulate.act` then decides whether it
+fires (a repeated-low-frequency repeat fires at any non-neutral instant, a
 repeat-if-needed one only while its causing state still holds) and
 requests it again, so repeat chains terminate once the state clears.
 

@@ -8,11 +8,13 @@ model is the simplest one that exercises every interaction state; it
 makes no claim of physiological realism.
 
 `replay` calibrates on traces, then yields the whole pipeline's event log
-(features, estimation, classification, scheduling, device commands) in
-time order, each record as the loop, evaluating once per window stride,
-makes it. A record is one `events.ndjson` line (`t` in ms, `kind`, kind
-fields). `summarize` folds such a log into its `summary.json` object:
-operator aggregates and an audit against the constraints and config.
+in time order, each record as the loop makes it: `sense` yields each
+window's `feature`, `av_state` and `interaction_state` records, and `act`
+adds the releases, suppressions and IR commands that follow from the
+`interaction_state` records alone. A record is one `events.ndjson` line
+(`t` in ms, `kind`, kind fields). `summarize` folds such a log into its
+`summary.json` object: operator aggregates and an audit against the
+constraints and config.
 """
 
 from __future__ import annotations
@@ -312,35 +314,16 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
     baseline = compute_baseline(calibration)
     windows = iter_window_features(
         rr, hr, context, baseline, ing.window_len_s, ing.stride_s)
-    return _evaluate((w for w in windows if w.window_end > calib_ms), config)
+    return act(sense((w for w in windows if w.window_end > calib_ms), config), config)
 
 
-def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[dict]:
-    """Run the control loop once per window and yield its records.
-
-    A window's records carry its end as `t`, except a release's shutdown:
-    it waits in `held` until the first later window at or past its time,
-    or the loop's end. Releases never overlap, so at most one waits.
-    """
+def sense(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[dict]:
+    """Yield each window's `feature`, `av_state` and `interaction_state` records."""
     est = config.estimator
-    sched_cfg = config.scheduler
-    horizon_ms = round(sched_cfg.repeat_check_horizon_s * 1000)
-    table = config.ir_table
-    scents_by_key = {s.key: s for s in config.vocabulary}
-
-    rng = random.Random(config.seed)
     tracker = PersistenceTracker()
-    history = SelectionHistory()
-    st = SchedulerState()
     smoothed: AVState | None = None
-    last_seen: dict[InteractionState, int] = {}
-    held: dict | None = None
-
     for fw in windows:
         now = fw.window_end
-        if held is not None and held["t"] <= now:
-            yield held
-            held = None
         yield dict(t=now, kind="feature", window_start=fw.window_start,
                    rmssd=_round6(fw.rmssd), sdnn=_round6(fw.sdnn),
                    mean_hr=_round6(fw.mean_hr),
@@ -356,9 +339,37 @@ def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[di
                    valence=_round6(smoothed.valence))
 
         state, tracker = classify(smoothed, fw.context, tracker, est)
-        last_seen[state] = now
         yield dict(t=now, kind="interaction_state", state=state.value)
 
+
+def act(records: Iterable[dict], config: "Config") -> Iterator[dict]:
+    """Pass a time-ordered log through, adding the actuation its states imply.
+
+    After each `interaction_state` record come that instant's suppressions,
+    releases and IR commands, read from each record's `t`, `kind` and
+    `state` alone. A shutdown waits in `held` until the first later record
+    at or past its time, or the log's end; releases never overlap.
+    """
+    sched_cfg = config.scheduler
+    horizon_ms = round(sched_cfg.repeat_check_horizon_s * 1000)
+    table = config.ir_table
+    scents_by_key = {s.key: s for s in config.vocabulary}
+    rng = random.Random(config.seed)
+    history = SelectionHistory()
+    st = SchedulerState()
+    last_seen: dict[InteractionState, int] = {}
+    held: dict | None = None
+
+    for record in records:
+        now = record["t"]
+        if held is not None and held["t"] <= now:
+            yield held
+            held = None
+        yield record
+        if record["kind"] != "interaction_state":
+            continue
+        state = InteractionState(record["state"])
+        last_seen[state] = now
         # the due repeat, then the state's own expression
         requests = []
         repeat = tick(now, st)
@@ -391,12 +402,12 @@ def _evaluate(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[di
                        duration_s=command.duration_s, start=command.start,
                        end=command.end, cause=cause.value, repeat_due=due)
             for ts, key in command_sequence_for(command):
-                record = dict(t=ts, kind="ir_command", command=key,
-                              code=f"0x{table.code_for(key):08X}")
+                ir = dict(t=ts, kind="ir_command", command=key,
+                          code=f"0x{table.code_for(key):08X}")
                 if ts > now:
-                    held = record
+                    held = ir
                 else:
-                    yield record
+                    yield ir
 
     if held is not None:
         yield held

@@ -18,7 +18,9 @@ which records changed and why.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +29,8 @@ from pathlib import Path
 import pytest
 
 from scentctl.cli import CONFIG_ENV_VAR, main
+from scentctl.config import load_config
+from scentctl.simulate import act
 
 GOLDEN = Path(__file__).parent / "golden"
 SUMS = GOLDEN / "SHA256SUMS"
@@ -105,6 +109,21 @@ def test_logs_and_traces_match_golden(outputs, case):
     expected = _expected_sums(case)
     assert expected, f"no SHA256SUMS entries for {case}"
     assert _actual_sums(outputs, case) == expected
+
+
+# The actuation records follow from the logged states alone: `act` run on
+# a log's `interaction_state` records gives back the whole log without
+# its `feature` and `av_state` records.
+@pytest.mark.parametrize("case, config", [
+    (SYNTH_24H, dataclasses.replace(load_config(None), seed=11)),
+    ("replay-24h-alt", load_config(GOLDEN / "alt.ini")),
+])
+def test_actuation_follows_from_the_logged_states(outputs, case, config):
+    with open(outputs / case / "events.ndjson", encoding="utf-8") as lines:
+        log = [json.loads(line) for line in lines]
+    states = [r for r in log if r["kind"] == "interaction_state"]
+    assert list(act(states, config)) == [
+        r for r in log if r["kind"] not in ("feature", "av_state")]
 
 
 def test_goldens_reproduce_on_other_interpreters(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import gc
+import itertools
 import json
 import random
 from collections import Counter
@@ -43,8 +44,11 @@ from scentctl.scents import (
     select_scent,
 )
 from scentctl.scheduler import (
+    SUPPRESSED_CHANNEL_ACTIVE,
+    SUPPRESSED_COOLDOWN,
     SchedulerConfig,
     SchedulerState,
+    TimeRegressionError,
     request,
     suppression_reason,
     tick,
@@ -66,6 +70,7 @@ from scentctl.simulate import (
     default_plan,
     generate_session,
     _round6,
+    act,
     replay,
     summarize,
 )
@@ -904,3 +909,73 @@ def test_replay_is_causal(case):
         assert (held["kind"], held["command"]) == ("ir_command", "shutdown")
         assert cut == full[:len(cut)]
         assert held in full[len(cut) + 1:]
+
+
+# -- actuation from the logged states -----------------------------------------
+#
+# After `classify`, the loop's actuation half is a function of the state
+# sequence: `act` reads a log's `interaction_state` records alone. So it
+# can be checked on every state sequence of a small scope (the small-scope
+# hypothesis: Jackson, *Software Abstractions*, MIT Press 2006).
+
+def _states(sequence):
+    """`interaction_state` records for ``sequence``, 10 s apart from 0."""
+    return [dict(t=i * 10_000, kind="interaction_state", state=state.value)
+            for i, state in enumerate(sequence)]
+
+
+def _witnesses(log):
+    """What the exhaustive scope must reach somewhere: the suppression
+    reasons of ``log``, "repeat" when a repeat fires, and "held" when a
+    shutdown comes after a state later than its release."""
+    seen = set()
+    due = released = state_t = None
+    for r in log:
+        if r["kind"] == "interaction_state":
+            state_t = r["t"]
+        elif r["kind"] == "suppression":
+            seen.add(r["reason"])
+            if r["reason"] == SUPPRESSED_REPEAT_CANCELLED:
+                due = None
+        elif r["kind"] == "release":
+            # cooldown holds every release until the armed repeat is due,
+            # and the first release then, unless cancelled, is the repeat
+            if due is not None and r["t"] >= due:
+                seen.add("repeat")
+            due, released = r["repeat_due"], r["t"]
+        elif r["command"] == "shutdown" and state_t > released:
+            seen.add("held")
+    return seen
+
+
+# A 20 s interval, not 30 s: at 30 s the repeat of a 12 s
+# repeated-low-frequency burst released at 0 comes due at 42 s, after the
+# fifth state (40 s), so only repeat-if-needed repeats would fire. That
+# 12 s burst outlasts the 10 s step, so its shutdown is held across a state.
+@pytest.mark.parametrize("horizon_s", [20.0, 0.0])
+def test_act_on_every_state_sequence_of_length_5(horizon_s):
+    config = dataclasses.replace(
+        CFG, ingest=IngestConfig(stride_s=10.0),
+        scheduler=SchedulerConfig(min_interval_s=20.0,
+                                  repeat_check_horizon_s=horizon_s))
+    seen = set()
+    with time_bound(10):
+        for sequence in itertools.product(InteractionState, repeat=5):
+            states = _states(sequence)
+            log = list(act(states, config))
+            assert summarize(log, config)["violations"] == 0, sequence
+            assert [r for r in log if r["kind"] == "interaction_state"] == states
+            seen |= _witnesses(log)
+    assert seen == {SUPPRESSED_COOLDOWN, SUPPRESSED_CHANNEL_ACTIVE,
+                    SUPPRESSED_REPEAT_CANCELLED, "repeat", "held"}
+
+
+def test_act_refuses_a_state_earlier_than_the_one_before():
+    states = _states([InteractionState.NEUTRAL] * 2)[::-1]
+    with pytest.raises(TimeRegressionError, match="^tick at 0 ms after clock reached 10000 ms$"):
+        list(act(states, CFG))
+
+
+def test_act_refuses_an_unknown_state():
+    with pytest.raises(ValueError, match="'calm' is not a valid InteractionState"):
+        list(act([dict(t=0, kind="interaction_state", state="calm")], CFG))

@@ -13,8 +13,9 @@ in (a function named here with the functions nested in it):
 
 - every function of ``scentctl/scheduler.py`` (``SchedulerConfig``'s
   validation included);
-- ``simulate.replay`` (its calibration cut ``head`` included),
-  ``simulate._evaluate`` and ``simulate.summarize``;
+- ``simulate.replay`` (its calibration cut ``head`` included), the
+  loop's two halves ``simulate.sense`` and ``simulate.act``, and
+  ``simulate.summarize``;
 - ``estimator.classify``;
 - ``ingest._parse_samples``, ``_drop``, ``reject_artifacts``, ``clean_hr``,
   ``compute_baseline``, ``window_features``, ``iter_window_features`` and
@@ -63,7 +64,7 @@ LOOP_TESTS = ("tests/test_scheduler.py", "tests/test_simulate.py",
 #                 the test files that run first)
 TARGETS = {
     "src/scentctl/scheduler.py": (None, LOOP_TESTS),
-    "src/scentctl/simulate.py": (("replay", "_evaluate", "summarize"),
+    "src/scentctl/simulate.py": (("replay", "sense", "act", "summarize"),
                                  LOOP_TESTS),
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
     "src/scentctl/ingest.py": (("_parse_samples", "_drop",
