@@ -284,11 +284,13 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
     """Calibrate on the streams, then return the stream of their records.
 
     Filtering and the baseline (from the calibration span's rows alone)
-    run before this returns, so input errors raise here. The session pass
-    runs as the records are consumed: it makes each window after the span,
-    runs the loop on it and yields its records in time order, holding one
-    window at a time. The filtered streams replace ``rr`` and ``hr``, so a
-    caller that keeps no reference to the raw ones lets them be freed.
+    run before this returns, so input errors raise here. So does an HR or
+    context stream that starts after the last kept RR beat: it shares no
+    time with RR. The session pass runs as the records are consumed: it
+    makes each window after the span, runs the loop on it and yields its
+    records in time order, holding one window at a time. The filtered
+    streams replace ``rr`` and ``hr``, so a caller that keeps no reference
+    to the raw ones lets them be freed.
     """
     rr = reject_artifacts(rr)
     hr = clean_hr(hr)
@@ -301,6 +303,15 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
         raise InsufficientDataError(
             f"{found}, but baseline calibration needs beats before "
             f"{calib_ms} ms; timestamps are milliseconds since session start")
+    # A stream that starts after the last kept beat shares no time with RR.
+    last = rr.timestamps[-1]
+    for name, first in (("HR", hr.timestamps[0] if hr else None),
+                        ("context", context[0].timestamp if context else None)):
+        if first is not None and first > last:
+            raise InsufficientDataError(
+                f"the {name} stream starts at {first} ms, after the last "
+                f"kept RR beat at {last} ms: the streams share no time; "
+                f"timestamps are milliseconds since session start")
 
     def head(series: Series) -> Series:
         # The rows before calib_ms and the first one at or after it: the

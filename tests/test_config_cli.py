@@ -793,6 +793,36 @@ def test_cli_replay_late_first_beat_exits_2_without_output(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("stream, name", [("hr", "HR"), ("context", "context")])
+def test_cli_replay_stream_after_the_last_beat_exits_2(tmp_path, capsys,
+                                                        stream, name):
+    # A second clock ahead of the beats: a stream whose first row comes
+    # after the session's last kept beat shares no time with RR and is
+    # refused; one whose first row is at that beat is replayed.
+    code, source = _synth(tmp_path, "source")
+    assert code == 0
+    last = ingest.reject_artifacts(
+        ingest.parse_rr_stream((source / "rr.csv").read_text())).timestamps[-1]
+    header, *rows = (source / f"{stream}.csv").read_text().splitlines()
+    assert rows[0].startswith("0,")
+    files = {kind: str(source / f"{kind}.csv") for kind in ("rr", "hr", "context")}
+    for shift, exit_code in ((last, 0), (last + 1, 2), (36_000_000, 2)):
+        files[stream] = _write(tmp_path, f"{stream}.csv", f"{header}\n" + "".join(
+            f"{int(ts) + shift},{rest}\n"
+            for ts, rest in (row.split(",", 1) for row in rows)))
+        out = tmp_path / f"out{shift}"
+        capsys.readouterr()
+        assert main(["replay", "--rr", files["rr"], "--hr", files["hr"],
+                     "--context", files["context"], "--out", str(out)]) == exit_code
+        if exit_code == 0:
+            continue
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert (f"the {name} stream starts at {shift} ms, after the last kept "
+                f"RR beat at {last} ms") in err
+        assert not out.exists()
+
+
 def test_cli_replay_sub_millisecond_stride_exits_3(tmp_path):
     _, out = _synth(tmp_path, "source")
     config = _write(tmp_path, "tiny.ini", "[ingest]\nstride_s = 0.0004\n")

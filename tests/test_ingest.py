@@ -994,10 +994,73 @@ def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
                 == _parse_outcome(reference_parse_samples, schema, text))
 
 
+# The edges of the batch path's JSON scan: numbers int() and float() read
+# but JSON does not (leading zeros, "5.", ".5", over 4,300 digits), a
+# timestamp JSON reads as a float, zero values, integer values a double
+# rounds (2**53 + 1, and the largest double's neighbours: float() gives
+# the largest double, then inf, where a JSON int is too large to convert),
+# a 400-digit value, timestamps past 4 bytes, and the whitespace both
+# strip. Each batch that JSON, struct or a check refuses goes row by row.
+_EDGE_TIMESTAMPS = ["0{}", "{}.", "{}.0", ".5", "1" * 4301]
+_EDGE_VALUES = ["0", "0.000", "5.", ".5", "0800", "00", "1" * 4301,
+                "1" + "0" * 400, "1" + "0" * 400 + ".5", "9007199254740993",
+                "17976931348623158" + "0" * 292, "17976931348623159" + "0" * 292]
+
+
+@st.composite
+def _gate_edge_streams(draw):
+    """(schema, text): RR/HR rows, mostly ordinary, with gate edges drawn in."""
+    noise = draw(st.sampled_from([0, 1, 3, 10]))  # edge picks per 40
+
+    def pick(good, edge):
+        if draw(st.integers(0, 39)) < noise:
+            return draw(st.sampled_from(edge))
+        return draw(st.sampled_from(good))
+
+    def pad():
+        return pick(["", "", "", "", " ", "\t"], [" \t ", "\t\t"])
+
+    lines = [draw(st.sampled_from(["timestamp_ms,rr_ms", ""]))
+             for _ in range(draw(st.integers(0, 2)))]
+    # some streams cross the largest timestamp, which struct refuses
+    ts = draw(st.integers(0, 3)) + draw(st.sampled_from([0, 0, 2**31 - 4000]))
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        ts += draw(st.sampled_from([1, 800, 805, 1000]))
+        ts_text = pick(["{}"], _EDGE_TIMESTAMPS).format(ts)
+        value = pick(["800", "810.5", "72", "0.001"], _EDGE_VALUES)
+        lines.append(f"{pad()}{ts_text}{pad()},{pad()}{value}{pad()}")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return draw(st.sampled_from(["rr", "hr"])), text
+
+
+@settings(max_examples=300)
+@example(("rr", "0123,800\n1000,810"), None)
+@example(("rr", "800,5.\n1600,.5\n2400,0800"), 4)
+@example(("hr", "801.0,800\n1600,810"), None)
+@example(("rr", "800,0.000\n1600,810"), None)
+@example(("rr", f"800,1{'0' * 400}\r\n1600, 810\t\r\n"), 7)
+@example(("hr", f"ts,hr\n\n{'1' * 4301},72\n"), None)
+@example(("rr", f"800,9007199254740993\n1600,17976931348623159{'0' * 292}"), None)
+@given(_gate_edge_streams(), st.one_of(st.none(), st.integers(1, 64)))
+def test_parse_matches_reference_at_the_batch_gate(case, chunk_chars):
+    schema, text = case
+    with pytest.MonkeyPatch.context() as patch, time_bound(10):
+        if chunk_chars is not None:
+            patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+        assert (_parse_outcome(_parse_samples, schema, text)
+                == _parse_outcome(reference_parse_samples, schema, text))
+
+
 # Cut 20 characters at a time, these rows fall into the batches shown.
-# A batch with a blank or header-like row, or one whose timestamps do not
-# rise strictly from the last one kept, is checked row by row; every other
-# one takes the batch path, which writes the timestamps listed. The last
+# A batch with a blank or header-like row, a number JSON does not read as
+# int() or float() does (``0123``, ``5.``, ``4201.0`` as a timestamp), or
+# timestamps that do not rise strictly from the last one kept, is checked
+# row by row; every other one takes the batch path, which writes the
+# timestamps listed. CRLF and padded rows take the batch path. The last
 # timestamp kept must carry across both paths, in both directions,
 # duplicates and line numbers included.
 @pytest.mark.parametrize("batches, batch_path", [
@@ -1020,24 +1083,39 @@ def test_parse_matches_reference_when_cut_into_chunks(case, chunk_chars):
      [[1000, 1800, 2600]]),
     ([["0,800", "0,790", "800,805"]], []),
     ([["0,800", f"{2**31 - 1},800"]], [[0, 2**31 - 1]]),
+    ([["1000,800\r", "1800,1.0\r"], ["2600,805\r", "3400,800\r"],
+      ["4200,795\r", "5000,790\r"]],
+     [[1000, 1800], [2600, 3400], [4200, 5000]]),
+    ([[" 1000 , 800 ", "\t1800,\t810.5"], ["2600 ,805  ", "3400,  800"],
+      ["4200\t, 795", "5000 ,790"]],
+     [[1000, 1800], [2600, 3400], [4200, 5000]]),
+    ([["0123,800", "1000,810", "1800,805"], ["2600,800", "3400,810", "4200,805"]],
+     [[2600, 3400, 4200]]),
+    ([["800,5.", "1600,810", "2400,805"], ["3200,800", "4000,810", "4800,805"]],
+     [[3200, 4000, 4800]]),
+    ([["1000,800", "1800,810", "2600,805"], ["3400,800", "4201.0,800"],
+      ["5000,805"]],
+     [[1000, 1800, 2600]]),
 ], ids=["blank-row", "duplicates", "header-like-row", "decrease-after-row-loop",
-        "duplicate-at-zero", "largest-timestamp"])
+        "duplicate-at-zero", "largest-timestamp", "crlf-rows", "padded-rows",
+        "leading-zero", "bare-point-value", "float-timestamp"])
 def test_parse_carries_last_timestamp_across_paths(batches, batch_path):
     text = "".join(f"{line}\n" for batch in batches for line in batch)
-    written = []
+    written = {"i": [], "d": []}
 
     def pack_into(fmt, buffer, offset, *items):
         struct.pack_into(fmt, buffer, offset, *items)
-        if fmt[-1] == "i":
-            written.append(list(items))
+        written[fmt[-1]].append(list(items))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", 20)
         patch.setattr(ingest, "pack_into", pack_into)
-        assert list(ingest._batches(text)) == batches
+        assert [batch.split("\n") for batch in ingest._batches(text)] == batches
         assert (_parse_outcome(_parse_samples, "rr", text)
                 == _parse_outcome(reference_parse_samples, "rr", text))
-    assert written == batch_path
+    # a batch on the batch path writes both of its columns
+    assert written["i"] == batch_path
+    assert [len(vs) for vs in written["d"]] == [len(ts) for ts in batch_path]
 
 
 # Every line boundary str.splitlines() knows, and text between them.
@@ -1046,6 +1124,7 @@ _LINE_PIECES = ["\n", "\r", "\r\n", *_OTHER_BREAKS, "", " ", "0", "12", "345"]
 
 @example("a\r\nb", 2)
 @example("\r\n\r\n", 1)
+@example("\n\n0", 1)
 @example("\n", 1)
 @example("a\x85b\n\n", 1)
 @given(st.lists(st.sampled_from(_LINE_PIECES), max_size=40).map("".join),
@@ -1057,8 +1136,11 @@ def test_batches_are_text_mode_lines(text, chunk_chars):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
         batches = list(ingest._batches(text))
-    assert all(batches)
-    assert [line for batch in batches for line in batch] == lines
+    assert [line for batch in batches for line in batch.split("\n")] == lines
+    # Each batch ends at the first "\n" from its chunk_chars-th character
+    # on, or at the text's end.
+    assert all("\n" not in batch[chunk_chars - 1:] for batch in batches)
+    assert all(len(batch) >= chunk_chars - 1 for batch in batches[:-1])
 
 
 @st.composite

@@ -17,9 +17,10 @@ in (a function named here with the functions nested in it):
   loop's two halves ``simulate.sense`` and ``simulate.act``, and
   ``simulate.summarize``;
 - ``estimator.classify``;
-- ``ingest._parse_samples``, ``_drop``, ``reject_artifacts``, ``clean_hr``,
-  ``compute_baseline``, ``window_features``, ``iter_window_features`` and
-  ``FeatureWindow``'s z-values, ``z_hr``, ``z_rmssd`` and ``z_sdnn``.
+- ``ingest._batches``, ``_parse_samples``, ``_drop``, ``reject_artifacts``,
+  ``clean_hr``, ``compute_baseline``, ``window_features``,
+  ``iter_window_features`` and ``FeatureWindow``'s z-values, ``z_hr``,
+  ``z_rmssd`` and ``z_sdnn``.
 
 Each mutant is written into a scratch copy of the repository, and the
 test files of its module run against it with ``pytest -x`` (the loop
@@ -67,7 +68,7 @@ TARGETS = {
     "src/scentctl/simulate.py": (("replay", "sense", "act", "summarize"),
                                  LOOP_TESTS),
     "src/scentctl/estimator.py": (("classify",), LOOP_TESTS),
-    "src/scentctl/ingest.py": (("_parse_samples", "_drop",
+    "src/scentctl/ingest.py": (("_batches", "_parse_samples", "_drop",
                                 "reject_artifacts", "clean_hr",
                                 "compute_baseline", "window_features",
                                 "iter_window_features",
@@ -122,6 +123,10 @@ EQUIVALENT = {
         "the columns get one spare row, which is cut off at the end",
     ("_parse_samples", "array('i', [-1]) * size"): _FILL,
     ("_parse_samples", "array('i', [1]) * size"): _FILL,
+    ("_parse_samples", "-2"):
+        "the last timestamp kept starts below every timestamp either path "
+        "compares with it: the batch gate admits no '-', and the row path "
+        "refuses a negative timestamp first",
     ("_drop", "array(view.format, [-1]) * (len(view) - len(dropped))"): _KEPT_FILL,
     ("_drop", "array(view.format, [1]) * (len(view) - len(dropped))"): _KEPT_FILL,
     ("iter_window_features", "iter(context or (ContextSample(-1, True, "
