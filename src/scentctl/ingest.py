@@ -17,9 +17,9 @@ ordinary RR/HR rows (two plain decimal numbers each, timestamps rising
 strictly from the last one kept, positive values) is converted by one JSON
 scan and written into the columns in C; any other batch is checked row by
 row, naming the offending line.
-`iter_window_features` pays two bisects per stream and window, advances
-through the context rows as its window ends do, reading each row once, and
-holds no window after yielding it.
+`iter_window_features` pays two bisects per stream and window, reads each
+context row once, and holds no window after yielding it; a baseline sent
+in mid-sweep lets one sweep calibrate on its first windows.
 """
 
 from __future__ import annotations
@@ -511,7 +511,8 @@ def iter_window_features(
     stride_s: float = DEFAULT_STRIDE_S,
 ) -> Iterator[FeatureWindow]:
     """Slide a window over cleaned streams and yield each window's features,
-    measured against ``baseline``.
+    measured against ``baseline``, or one sent in: ``send`` returns None,
+    and the window just yielded comes again, read against the sent one.
 
     One window is produced per stride step whose end lies within the
     trace; windows holding fewer than two RR samples are skipped, not an
@@ -580,7 +581,7 @@ def iter_window_features(
         new = (work, row.activity_state, row.session_active)
         if new != key:
             key, flags = new, ContextFlags(*new)
-        yield FeatureWindow(
+        while (sent := (yield FeatureWindow(
             window_start=start,
             window_end=end,
             rmssd=rmssd,
@@ -588,5 +589,7 @@ def iter_window_features(
             mean_hr=mean_hr,
             baseline=baseline,
             context=flags,
-        )
+        ))) is not None:
+            baseline = sent
+            yield  # the send's reply: the next window is this one again
         start += stride_ms

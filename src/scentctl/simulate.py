@@ -19,7 +19,6 @@ constraints and config.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from array import array
@@ -47,7 +46,6 @@ from .ingest import (
     compute_baseline,
     iter_window_features,
     reject_artifacts,
-    window_features,
 )
 from .irproto import command_sequence_for
 from .scents import SelectionHistory, expression_for, select_scent
@@ -283,14 +281,15 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
            config: "Config") -> Iterator[dict]:
     """Calibrate on the streams, then return the stream of their records.
 
-    Filtering and the baseline (from the calibration span's rows alone)
-    run before this returns, so input errors raise here. So does an HR or
-    context stream that starts after the last kept RR beat: it shares no
-    time with RR. The session pass runs as the records are consumed: it
-    makes each window after the span, runs the loop on it and yields its
-    records in time order, holding one window at a time. The filtered
-    streams replace ``rr`` and ``hr``, so a caller that keeps no reference
-    to the raw ones lets them be freed.
+    One sweep measures each window once. Filtering, and the sweep up to
+    the first window that ends past the calibration span, run before this
+    returns: the windows inside the span give the baseline, so input and
+    calibration errors raise here. So does an HR or context stream that
+    starts after the last kept RR beat: it shares no time with RR. The rest
+    runs as the records are consumed: each later window is read against the
+    baseline, and its records are yielded in time order, one window held at
+    a time. The filtered streams replace ``rr`` and ``hr``, so a caller that
+    keeps no reference to the raw ones lets them be freed.
     """
     rr = reject_artifacts(rr)
     hr = clean_hr(hr)
@@ -313,19 +312,17 @@ def replay(rr: Series, hr: Series, context: Sequence[ContextSample],
                 f"kept RR beat at {last} ms: the streams share no time; "
                 f"timestamps are milliseconds since session start")
 
-    def head(series: Series) -> Series:
-        # The rows before calib_ms and the first one at or after it: the
-        # trace's end decides whether the window ending at calib_ms exists.
-        n = bisect.bisect_left(series.timestamps, calib_ms) + 1
-        return Series(series.timestamps[:n], series.values[:n])
-
-    calibration = [w for w in window_features(
-        head(rr), head(hr), context, Baseline.provisional(),
-        ing.window_len_s, ing.stride_s) if w.window_end <= calib_ms]
-    baseline = compute_baseline(calibration)
-    windows = iter_window_features(
-        rr, hr, context, baseline, ing.window_len_s, ing.stride_s)
-    return act(sense((w for w in windows if w.window_end > calib_ms), config), config)
+    windows = iter_window_features(rr, hr, context, Baseline.provisional(),
+                                   ing.window_len_s, ing.stride_s)
+    calibration = []
+    for window in windows:
+        if window.window_end > calib_ms:
+            break
+        calibration.append(window)
+    baseline = compute_baseline(calibration)  # raises when no window is drawn
+    if window.window_end > calib_ms:  # the sweep stopped past the span:
+        windows.send(baseline)  # that window comes again, read against it
+    return act(sense(windows, config), config)
 
 
 def sense(windows: Iterable[FeatureWindow], config: "Config") -> Iterator[dict]:

@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,12 +26,15 @@ from scentctl.estimator import (
     smooth_av,
 )
 from scentctl.ingest import (
+    ActivityState,
     Baseline,
+    ContextSample,
     FeatureWindow,
     InsufficientDataError,
     Series,
     clean_hr,
     compute_baseline,
+    iter_window_features,
     reject_artifacts,
     window_features,
 )
@@ -72,6 +76,7 @@ from scentctl.simulate import (
     _round6,
     act,
     replay,
+    sense,
     summarize,
 )
 
@@ -807,6 +812,153 @@ def test_replay_holds_one_window_at_a_time():
     next(r for r in records if r["t"] >= half_hour_in)
     # the window the loop is on, of the session's 179
     assert live_windows() - before == 1
+
+
+def test_replay_runs_each_hrv_kernel_once_per_window(monkeypatch):
+    plan = SessionPlan((SessionBlock(BlockKind.WORK, 60.0),))
+    rr, hr, context = generate_session(4, plan, (), CFG.simulator)
+    windows = window_features(reject_artifacts(rr), clean_hr(hr), context,
+                              Baseline.provisional(), CFG.ingest.window_len_s,
+                              CFG.ingest.stride_s)
+    calls = Counter()
+    for name in ("compute_rmssd", "compute_sdnn"):
+        def counted(seg, name=name, kernel=getattr(ingest, name)):
+            calls[name] += 1
+            return kernel(seg)
+        monkeypatch.setattr(ingest, name, counted)
+    list(replay(rr, hr, context, CFG))
+    # the 4 calibration windows, then the 55 after the span, each measured once
+    assert len(windows) == 59
+    assert calls == {"compute_rmssd": 59, "compute_sdnn": 59}
+
+
+# -- calibration inside the one sweep ------------------------------------------
+#
+# `replay` once swept the session twice: over the rows before the
+# calibration span's end (and the first one after it) against a
+# provisional baseline, then over the whole streams against the real one.
+# That body is kept here verbatim, renamed, as the reference for the one
+# sweep at the seam between the span and the windows after it.
+
+def _two_sweep_replay(rr: Series, hr: Series, context: list,
+                      config: "Config") -> Iterator[dict]:
+    rr = reject_artifacts(rr)
+    hr = clean_hr(hr)
+    ing = config.ingest
+    calib_ms = round(ing.calibration_minutes * 60000)
+    # No beat from calib_ms on calibrates: the error names the first kept one.
+    if not rr or rr.timestamps[0] >= calib_ms:
+        found = (f"the first kept RR beat is at {rr.timestamps[0]} ms" if rr
+                 else "no RR beat is kept")
+        raise InsufficientDataError(
+            f"{found}, but baseline calibration needs beats before "
+            f"{calib_ms} ms; timestamps are milliseconds since session start")
+    # A stream that starts after the last kept beat shares no time with RR.
+    last = rr.timestamps[-1]
+    for name, first in (("HR", hr.timestamps[0] if hr else None),
+                        ("context", context[0].timestamp if context else None)):
+        if first is not None and first > last:
+            raise InsufficientDataError(
+                f"the {name} stream starts at {first} ms, after the last "
+                f"kept RR beat at {last} ms: the streams share no time; "
+                f"timestamps are milliseconds since session start")
+
+    def head(series: Series) -> Series:
+        # The rows before calib_ms and the first one at or after it: the
+        # trace's end decides whether the window ending at calib_ms exists.
+        n = bisect.bisect_left(series.timestamps, calib_ms) + 1
+        return Series(series.timestamps[:n], series.values[:n])
+
+    calibration = [w for w in window_features(
+        head(rr), head(hr), context, Baseline.provisional(),
+        ing.window_len_s, ing.stride_s) if w.window_end <= calib_ms]
+    baseline = compute_baseline(calibration)
+    windows = iter_window_features(
+        rr, hr, context, baseline, ing.window_len_s, ing.stride_s)
+    return act(sense((w for w in windows if w.window_end > calib_ms), config), config)
+
+
+def _seam_trace(seed, end, gap=(0, 0), with_hr=True, with_context=True):
+    """RR beats of about 800 ms laid back from the last, which falls at
+    ``end``; no RR or HR row in the ``gap`` [start, stop); HR each second
+    and context each minute up to ``end``, when asked for."""
+    rng = random.Random(seed)
+    beats, t = [], end
+    while t > 0:
+        beat = round(rng.gauss(800.0, 4.0), 3)
+        beats.append((t, beat))
+        t = round(t - beat)
+    rr = [(t, v) for t, v in reversed(beats) if not gap[0] <= t < gap[1]]
+    hr = [(t, round(75.0 + rng.gauss(0.0, 0.5), 3)) for t in range(0, end + 1, 1000)
+          if with_hr and not gap[0] <= t < gap[1]]
+    context = [ContextSample(t, rng.random() < 0.8,
+                             rng.choice(list(ActivityState)))
+               for t in range(0, end + 1, 60_000)] if with_context else []
+    return (Series([t for t, _ in rr], [v for _, v in rr]),
+            Series([t for t, _ in hr], [v for _, v in hr]), context)
+
+
+@st.composite
+def _seam_cases(draw):
+    """A short trace and a config whose windows meet the calibration span's
+    end in one of four ways: the trace ends exactly there; the first window
+    past it is the session's last; an RR and HR gap over that window skips
+    it and up to two window lengths of strides after it; or the trace runs
+    on for up to 10 minutes. Each trace may lack HR, context or both."""
+    window_s = draw(st.sampled_from([60.0, 90.0, 120.0]))
+    stride_s = draw(st.sampled_from([0.5, 7.5, 30.0, 60.0]))
+    window_ms, stride_ms = round(window_s * 1000), round(stride_s * 1000)
+    least = window_ms + 2 * stride_ms
+    calib_ms = draw(st.integers(least, least + 4 * stride_ms))
+    # the end of the first window that ends past the span
+    seam_end = window_ms + (calib_ms - window_ms) // stride_ms * stride_ms + stride_ms
+    shape = draw(st.sampled_from(["at span end", "seam is last", "gap", "runs on"]))
+    gap = (0, 0)
+    if shape == "at span end":
+        end = calib_ms
+    elif shape == "seam is last":
+        end = draw(st.integers(seam_end, seam_end + stride_ms - 1))
+    elif shape == "gap":
+        start = draw(st.integers(calib_ms - window_ms, seam_end - window_ms))
+        gap = (start, seam_end + draw(st.integers(0, 2 * window_ms)))
+        end = gap[1] + draw(st.integers(0, 300_000))
+    else:
+        end = calib_ms + draw(st.integers(0, 600_000))
+    trace = _seam_trace(draw(st.integers(0, 2**16)), end, gap,
+                        draw(st.booleans()), draw(st.booleans()))
+    ingest = IngestConfig(window_s, stride_s, calib_ms / 60000)
+    return trace, dataclasses.replace(CFG, ingest=ingest)
+
+
+def _outcome(run, streams, config):
+    """Every record ``run`` gives, or the type and text of its error."""
+    try:
+        return list(run(*streams, config))
+    except ValueError as error:
+        return type(error), str(error)
+
+
+_SPAN_MS = round(CFG.ingest.calibration_minutes * 60000)
+
+
+@settings(max_examples=60, deadline=None)
+# With the default geometry: the trace ends at the span's end, with and
+# without HR and context; the first window past the span (360 s) is the
+# last; a gap of RR and HR from 240 s to 420 s skips the windows ending at
+# 360 s and 420 s; and neither HR nor context on a trace that runs on.
+@example((_seam_trace(1, _SPAN_MS), CFG))
+@example((_seam_trace(1, _SPAN_MS, with_hr=False, with_context=False), CFG))
+@example((_seam_trace(2, 360_000 + 59_999), CFG))
+@example((_seam_trace(3, 900_000, gap=(240_000, 420_000)), CFG))
+@example((_seam_trace(4, 900_000, with_hr=False, with_context=False), CFG))
+# Too few windows before the span's end: the same error either way.
+@example((_seam_trace(5, 900_000, gap=(0, 250_000)), CFG))
+@given(_seam_cases())
+def test_one_sweep_replay_matches_two_sweep_reference(case):
+    streams, config = case
+    with time_bound(10):
+        assert _outcome(replay, streams, config) == _outcome(
+            _two_sweep_replay, streams, config)
 
 
 # -- causality ----------------------------------------------------------------

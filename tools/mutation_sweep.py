@@ -13,9 +13,8 @@ in (a function named here with the functions nested in it):
 
 - every function of ``scentctl/scheduler.py`` (``SchedulerConfig``'s
   validation included);
-- ``simulate.replay`` (its calibration cut ``head`` included), the
-  loop's two halves ``simulate.sense`` and ``simulate.act``, and
-  ``simulate.summarize``;
+- ``simulate.replay``, the loop's two halves ``simulate.sense`` and
+  ``simulate.act``, and ``simulate.summarize``;
 - ``estimator.classify``;
 - ``ingest._batches``, ``_parse_samples``, ``_drop``, ``reject_artifacts``,
   ``clean_hr``, ``compute_baseline``, ``window_features``,
@@ -133,10 +132,6 @@ EQUIVALENT = {
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
     ("iter_window_features", "iter(context or (ContextSample(1, True, "
                              "ActivityState.SEDENTARY),))"): _STAND_IN,
-    ("head", "bisect.bisect_left(series.timestamps, calib_ms) + 2"):
-        "one more row after calib_ms is never read: no calibration window "
-        "reads a row at or after calib_ms, and the first such row already "
-        "decides whether the window ending at calib_ms exists",
 }
 
 
@@ -223,7 +218,8 @@ def main() -> int:
     baseline = {rel: ast.unparse(ast.parse((ROOT / rel).read_text(encoding="utf-8")))
                 for rel in TARGETS}
     for copy in copies:
-        for name in ("src", "tests"):
+        # the suite runs tools/cli_ab.py, which imports bench/gen.py
+        for name in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         for name in ("pyproject.toml", "README.md"):
             shutil.copy2(ROOT / name, copy / name)
